@@ -18,17 +18,16 @@ import random
 from dataclasses import dataclass
 from itertools import permutations, product
 from multiprocessing import Pool
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     AgentRef,
     Family,
     Instance,
+    KdsmError,
     Matching,
     SpaceTooLargeError,
     instance_digest,
-    parse_instance,
-    serialize_instance,
     serialize_matching,
 )
 from .reductions import (
@@ -54,7 +53,6 @@ from .verify import (
     is_strongly_blocking,
     is_weakly_stable,
 )
-from .core import KdsmError
 
 EXPERIMENT_IDS = (
     "boros-bound",
@@ -107,10 +105,10 @@ def random_matching(inst: Instance, seed: int, keep: float = 0.7) -> Matching:
     for f in fams:
         if rng.random() >= keep:
             continue
-        if any(f.members[t] in used[t] for t in range(inst.k)):
+        if any(f[t] in used[t] for t in range(inst.k)):
             continue
         for t in range(inst.k):
-            used[t].add(f.members[t])
+            used[t].add(f[t])
         chosen.append(f)
     return Matching.of(chosen)
 
@@ -316,35 +314,39 @@ def serialize_report(rep: ExperimentReport) -> str:
 
 
 def _map_maybe_parallel(
-    worker: Callable, items: Sequence, threads: int
-) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [worker(it) for it in items]
+    worker: Callable, items: Iterable, threads: int, chunksize: int
+) -> Iterator:
+    """``worker`` over ``items`` in order, streamed; ``threads`` > 1 uses a
+    process pool that lives as long as the iteration."""
+    if threads <= 1:
+        yield from map(worker, items)
+        return
     with Pool(processes=threads) as pool:
-        return pool.map(worker, items, chunksize=max(1, len(items) // (threads * 8)))
+        yield from pool.imap(worker, items, chunksize=chunksize)
 
 
-def _has_stable_complete(inst: Instance) -> bool:
+def _w_has_stable(inst: Instance) -> tuple[str, bool]:
+    """Digest of ``inst`` and whether it has a weakly stable matching."""
     if inst.k == 3 and inst.is_complete and inst.n >= 1:
-        return _scan_complete_k3(inst, count_all=False) > 0
-    return bool(enumerate_weakly_stable(inst, limit=1))
+        ok = _scan_complete_k3(inst, count_all=False) > 0
+    else:
+        ok = bool(enumerate_weakly_stable(inst, limit=1))
+    return instance_digest(inst), ok
 
 
-def _w_sample_has_stable(args: tuple[int, int, int]) -> tuple[str, bool]:
-    seed, k, n = args
-    inst = random_instance(seed, k, n, density=1.0)
-    return instance_digest(inst), _has_stable_complete(inst)
-
-
-def _w_text_has_stable(text: str) -> tuple[str, bool]:
-    inst = parse_instance(text)
-    return instance_digest(inst), _has_stable_complete(inst)
-
-
-def _w_sample_count_stable(args: tuple[int, int, int]) -> tuple[str, int]:
-    seed, k, n = args
-    inst = random_instance(seed, k, n, density=1.0)
+def _w_count_stable(inst: Instance) -> tuple[str, int]:
+    """Digest of complete k=3 ``inst`` and its number of weakly stable matchings."""
     return instance_digest(inst), _scan_complete_k3(inst, count_all=True)
+
+
+def _sampled_complete(
+    name: str, seed: int, k: int, n: int, samples: int
+) -> Iterator[Instance]:
+    """The seeded complete instances of a sampled experiment, in order."""
+    for idx in range(samples):
+        yield random_instance(
+            random.Random(f"{seed}:{name}:{idx}").getrandbits(63), k, n, density=1.0
+        )
 
 
 def _existence_experiment(
@@ -363,27 +365,15 @@ def _existence_experiment(
     )
     if exhaustive:
         mode = "exhaustive"
-        if threads <= 1:
-            records = (
-                (instance_digest(inst), _has_stable_complete(inst))
-                for inst in enumerate_instances(k, n, complete=True)
-            )
-        else:
-            texts = (
-                serialize_instance(inst)
-                for inst in enumerate_instances(k, n, complete=True)
-            )
-            pool = Pool(processes=threads)
-            records = pool.imap(_w_text_has_stable, texts, chunksize=256)
+        instances = enumerate_instances(k, n, complete=True)
+        chunksize = 256
     else:
         if samples is None:
             samples = 100_000
         mode = f"sample-{samples}"
-        args = [
-            (random.Random(f"{seed}:{name}:{idx}").getrandbits(63), k, n)
-            for idx in range(samples)
-        ]
-        records = iter(_map_maybe_parallel(_w_sample_has_stable, args, threads))
+        instances = _sampled_complete(name, seed, k, n, samples)
+        chunksize = max(1, samples // (threads * 8))
+    records = _map_maybe_parallel(_w_has_stable, instances, threads, chunksize)
     stable_count = 0
     total = 0
     truncated = False
@@ -398,9 +388,6 @@ def _existence_experiment(
             truncated = True
         if not ok:
             failures.append(f"{digest} admits no weakly stable matching")
-    if exhaustive and threads > 1:
-        pool.close()
-        pool.join()
     params = (
         ("k", str(k)),
         ("mode", mode),
@@ -418,11 +405,9 @@ def _existence_experiment(
 
 def _pp_experiment(samples: int, seed: int, threads: int) -> ExperimentReport:
     k, n = 3, 5
-    args = [
-        (random.Random(f"{seed}:pp-two-matchings:{idx}").getrandbits(63), k, n)
-        for idx in range(samples)
-    ]
-    records = _map_maybe_parallel(_w_sample_count_stable, args, threads)
+    instances = _sampled_complete("pp-two-matchings", seed, k, n, samples)
+    chunksize = max(1, samples // (threads * 8))
+    records = list(_map_maybe_parallel(_w_count_stable, instances, threads, chunksize))
     results = []
     failures = []
     for digest, count in records:

@@ -12,6 +12,11 @@ decisions (join a family or stay unmatched). A branch is abandoned as soon
 as some family is strongly blocking with all k members' assignments
 finalized; such a family can never be repaired deeper in the branch, and
 the search backjumps to the shallowest level that could disturb it.
+
+Every search holds its current matching in the partner-row form of
+:mod:`kdsm.verify` (``rows[t][i]`` is the partner index of agent (t, i),
+-1 when unmatched) and tests complete candidates with the same
+lexicographic first-blocker scan as the naive verifier.
 """
 
 from __future__ import annotations
@@ -20,11 +25,16 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Iterator
 
-from .core import Family, Instance, Matching, SpaceTooLargeError
-from .verify import _first_blocker, _improvement_prefixes, find_blocking_naive
+from .core import Instance, Matching, SpaceTooLargeError
+from .verify import (
+    better_than_partner,
+    find_blocking_naive,
+    first_blocker,
+    lex_families,
+)
 
 MAX_CANDIDATE_FAMILIES = 10**6
 MAX_PERFECT_MATCHINGS = 10**8
@@ -53,43 +63,10 @@ class SolveOutcome:
     elapsed: float
 
 
-def count_candidate_families(inst: Instance) -> int:
-    """Number of valid families, aborting early past the exhaustive bound."""
-    if inst.is_complete:
-        return inst.n**inst.k
-    count = 0
-    for _ in _candidate_families(inst):
-        count += 1
-        if count > MAX_CANDIDATE_FAMILIES:
-            break
-    return count
-
-
-def _candidate_families(inst: Instance) -> Iterator[Family]:
-    """All valid families in lexicographic member order."""
-    k, n = inst.k, inst.n
-    prefs = inst.prefs
-    ranks = inst._ranks
-    members = [0] * k
-    accept = [[sorted(lst) for lst in prefs[t]] for t in range(k)]
-
-    def extend(t: int) -> Iterator[Family]:
-        if t == k:
-            if members[0] in ranks[k - 1][members[k - 1]]:
-                yield Family(tuple(members))
-            return
-        for j in accept[t - 1][members[t - 1]]:
-            members[t] = j
-            yield from extend(t + 1)
-
-    for i0 in range(n):
-        members[0] = i0
-        yield from extend(1)
-
-
-def _check_family_bound(inst: Instance, max_families: int) -> list[Family]:
+def _check_family_bound(inst: Instance, max_families: int) -> list[tuple[int, ...]]:
+    """All valid families in lexicographic order, or SpaceTooLargeError."""
     fams = []
-    for f in _candidate_families(inst):
+    for f in lex_families(inst.prefs):
         fams.append(f)
         if len(fams) > max_families:
             raise SpaceTooLargeError(
@@ -100,34 +77,84 @@ def _check_family_bound(inst: Instance, max_families: int) -> list[Family]:
     return fams
 
 
-def _perfect_space(inst: Instance) -> int:
-    return math.factorial(inst.n) ** (inst.k - 1)
+def _check_perfect_bound(inst: Instance, max_families: int) -> None:
+    """Bound checks for the perfect-matching paths of complete instances."""
+    nfam = inst.n**inst.k
+    if nfam > max_families:
+        raise SpaceTooLargeError(
+            f"{nfam} candidate families exceed the bound {max_families}",
+            bound=max_families,
+            required=nfam,
+        )
+    space = math.factorial(inst.n) ** (inst.k - 1)
+    if space > MAX_PERFECT_MATCHINGS:
+        raise SpaceTooLargeError(
+            f"{space} perfect matchings exceed the bound {MAX_PERFECT_MATCHINGS}",
+            bound=MAX_PERFECT_MATCHINGS,
+            required=space,
+        )
 
 
-def _zero_based_partner_rows(m: Matching, k: int, n: int) -> list[list[int]]:
-    rows = [[-1] * n for _ in range(k)]
-    for f in m:
-        for t in range(k):
-            rows[t][f.members[t]] = f.members[(t + 1) % k]
-    return rows
+def _open_families(
+    inst: Instance, accept: list[list[list[int]]], rows: list[list[int]], d: int
+) -> Iterator[tuple[int, ...]]:
+    """Families through type-0 agent ``d`` whose other members are unmatched
+    in ``rows``, lexicographic; ``accept`` holds the sorted preference lists.
+
+    ``rows`` is read lazily: callers may change it while the generator is
+    suspended if they restore it before resuming.
+    """
+    k = inst.k
+    closing = inst._ranks[k - 1]
+    members = [0] * k
+    members[0] = d
+
+    def extend(t: int) -> Iterator[tuple[int, ...]]:
+        last = t == k - 1
+        for j in accept[t - 1][members[t - 1]]:
+            if rows[t][j] >= 0:
+                continue
+            members[t] = j
+            if not last:
+                yield from extend(t + 1)
+            elif d in closing[j]:
+                yield tuple(members)
+
+    yield from extend(1)
 
 
-def _rows_blocker(inst: Instance, rows: list[list[int]]) -> Family | None:
-    """First blocker against a partner-array representation of a matching."""
-    k, n = inst.k, inst.n
-    prefixes: list[list[list[int]]] = []
+def _set_family(rows: list[list[int]], fam: tuple[int, ...], matched: bool) -> None:
+    """Record ``fam`` in the partner rows, or clear it when ``matched`` is false."""
+    k = len(fam)
     for t in range(k):
-        out = []
-        for i in range(n):
-            p = rows[t][i]
-            lst = inst.prefs[t][i]
-            if p < 0:
-                out.append(list(lst))
-            else:
-                r = inst._ranks[t][i].get(p)
-                out.append(list(lst) if r is None else list(lst[:r]))
-        prefixes.append(out)
-    return _first_blocker(prefixes, k, n)
+        rows[t][fam[t]] = fam[(t + 1) % k] if matched else -1
+
+
+def _disjoint_subsets(
+    inst: Instance, fams: list[tuple[int, ...]]
+) -> Iterator[tuple[list[tuple[int, ...]], list[list[int]]]]:
+    """Every agent-disjoint subset of ``fams`` with its partner rows.
+
+    Depth-first in canonical order: subsets extend in ascending ``fams``
+    index. The yielded list and rows are reused; read them before resuming.
+    """
+    k = inst.k
+    rows = [[-1] * inst.n for _ in range(k)]
+    cur: list[tuple[int, ...]] = []
+
+    def rec(start: int) -> Iterator[tuple[list[tuple[int, ...]], list[list[int]]]]:
+        yield cur, rows
+        for idx in range(start, len(fams)):
+            f = fams[idx]
+            if any(rows[t][f[t]] >= 0 for t in range(k)):
+                continue
+            cur.append(f)
+            _set_family(rows, f, True)
+            yield from rec(idx + 1)
+            _set_family(rows, f, False)
+            cur.pop()
+
+    yield from rec(0)
 
 
 def _prepare_masks(inst: Instance) -> list[list[list[int]]]:
@@ -197,82 +224,26 @@ def _scan_complete_k3(inst: Instance, count_all: bool, cap: int | None = None) -
     return count
 
 
-def _enumerate_perfect(inst: Instance, limit: int | None) -> Iterator[Matching]:
+def _enumerate_perfect(inst: Instance) -> Iterator[Matching]:
     """Weakly stable perfect matchings in canonical order (complete instances)."""
     k, n = inst.k, inst.n
-    if n == 0:
-        yield Matching.of([])
-        return
+    accept = [[sorted(lst) for lst in row] for row in inst.prefs]
     rows = [[-1] * n for _ in range(k)]
-    free = [set(range(n)) for _ in range(k)]
     chosen: list[tuple[int, ...]] = []
 
     def assign(i0: int) -> Iterator[Matching]:
         if i0 == n:
-            if _rows_blocker(inst, rows) is None:
-                yield Matching.of([Family(f) for f in chosen])
+            if first_blocker(inst, rows) is None:
+                yield Matching.of(chosen)
             return
-        members = [0] * k
-        members[0] = i0
+        for fam in _open_families(inst, accept, rows, i0):
+            chosen.append(fam)
+            _set_family(rows, fam, True)
+            yield from assign(i0 + 1)
+            _set_family(rows, fam, False)
+            chosen.pop()
 
-        def pick(t: int) -> Iterator[Matching]:
-            if t == k:
-                fam = tuple(members)
-                chosen.append(fam)
-                for u in range(k):
-                    rows[u][fam[u]] = fam[(u + 1) % k]
-                yield from assign(i0 + 1)
-                for u in range(k):
-                    rows[u][fam[u]] = -1
-                chosen.pop()
-                return
-            for j in sorted(free[t]):
-                members[t] = j
-                free[t].discard(j)
-                yield from pick(t + 1)
-                free[t].add(j)
-
-        yield from pick(1)
-
-    produced = 0
-    for m in assign(0):
-        yield m
-        produced += 1
-        if limit is not None and produced >= limit:
-            return
-
-
-def _enumerate_subsets(
-    inst: Instance, fams: list[Family], limit: int | None
-) -> Iterator[Matching]:
-    """All weakly stable matchings, canonical order, via disjoint-subset search."""
-    k, n = inst.k, inst.n
-    rows = [[-1] * n for _ in range(k)]
-    cur: list[Family] = []
-    produced = 0
-
-    def rec(start: int) -> Iterator[Matching]:
-        nonlocal produced
-        if _rows_blocker(inst, rows) is None:
-            yield Matching.of(list(cur))
-            produced += 1
-        if limit is not None and produced >= limit:
-            return
-        for idx in range(start, len(fams)):
-            f = fams[idx]
-            if any(rows[t][f.members[t]] >= 0 for t in range(k)):
-                continue
-            cur.append(f)
-            for t in range(k):
-                rows[t][f.members[t]] = f.members[(t + 1) % k]
-            yield from rec(idx + 1)
-            for t in range(k):
-                rows[t][f.members[t]] = -1
-            cur.pop()
-            if limit is not None and produced >= limit:
-                return
-
-    yield from rec(0)
+    yield from assign(0)
 
 
 def enumerate_weakly_stable(
@@ -287,23 +258,18 @@ def enumerate_weakly_stable(
     bound.
     """
     if inst.is_complete and inst.n >= 1:
-        nfam = inst.n**inst.k
-        if nfam > max_families:
-            raise SpaceTooLargeError(
-                f"{nfam} candidate families exceed the bound {max_families}",
-                bound=max_families,
-                required=nfam,
-            )
-        space = _perfect_space(inst)
-        if space > MAX_PERFECT_MATCHINGS:
-            raise SpaceTooLargeError(
-                f"{space} perfect matchings exceed the bound {MAX_PERFECT_MATCHINGS}",
-                bound=MAX_PERFECT_MATCHINGS,
-                required=space,
-            )
-        return list(_enumerate_perfect(inst, limit))
-    fams = _check_family_bound(inst, max_families)
-    return list(_enumerate_subsets(inst, fams, limit))
+        _check_perfect_bound(inst, max_families)
+        stable = _enumerate_perfect(inst)
+    else:
+        fams = _check_family_bound(inst, max_families)
+        stable = (
+            Matching.of(cur)
+            for cur, rows in _disjoint_subsets(inst, fams)
+            if first_blocker(inst, rows) is None
+        )
+    if limit is not None:
+        stable = islice(stable, max(limit, 0))
+    return list(stable)
 
 
 def count_matchings(
@@ -311,25 +277,7 @@ def count_matchings(
 ) -> int:
     """Total number of matchings (all agent-disjoint family subsets)."""
     fams = _check_family_bound(inst, max_families)
-    k, n = inst.k, inst.n
-    used = [[False] * n for _ in range(k)]
-    count = 0
-
-    def rec(start: int) -> None:
-        nonlocal count
-        count += 1
-        for idx in range(start, len(fams)):
-            f = fams[idx]
-            if any(used[t][f.members[t]] for t in range(k)):
-                continue
-            for t in range(k):
-                used[t][f.members[t]] = True
-            rec(idx + 1)
-            for t in range(k):
-                used[t][f.members[t]] = False
-
-    rec(0)
-    return count
+    return sum(1 for _ in _disjoint_subsets(inst, fams))
 
 
 def count_weakly_stable(
@@ -337,20 +285,7 @@ def count_weakly_stable(
 ) -> int:
     """Exact number of weakly stable matchings."""
     if inst.is_complete and inst.n >= 1 and inst.k == 3:
-        nfam = inst.n**inst.k
-        if nfam > max_families:
-            raise SpaceTooLargeError(
-                f"{nfam} candidate families exceed the bound {max_families}",
-                bound=max_families,
-                required=nfam,
-            )
-        space = _perfect_space(inst)
-        if space > MAX_PERFECT_MATCHINGS:
-            raise SpaceTooLargeError(
-                f"{space} perfect matchings exceed the bound {MAX_PERFECT_MATCHINGS}",
-                bound=MAX_PERFECT_MATCHINGS,
-                required=space,
-            )
+        _check_perfect_bound(inst, max_families)
         return _scan_complete_k3(inst, count_all=True)
     return len(enumerate_weakly_stable(inst, max_families=max_families))
 
@@ -390,14 +325,6 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
     def finalized(t: int, i: int) -> bool:
         return rows[t][i] >= 0 or (t == 0 and i < decided)
 
-    def improvement(t: int, i: int) -> tuple[int, ...]:
-        p = rows[t][i]
-        lst = prefs[t][i]
-        if p < 0:
-            return lst
-        r = ranks[t][i].get(p)
-        return lst if r is None else lst[:r]
-
     def blocker_level(f: tuple[int, ...]) -> int:
         lvl = 0
         for t in range(k):
@@ -421,7 +348,7 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
             if step == k:
                 return i == i0 and t == t0
             nt = (t + 1) % k
-            for j in improvement(t, i):
+            for j in better_than_partner(prefs[t][i], ranks[t][i], rows[t][i]):
                 work -= 1
                 if work <= 0:
                     return False
@@ -438,13 +365,6 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
         if walk(0, t0, i0):
             # path is indexed by type; the walk filled every type once
             return tuple(path)
-        return None
-
-    def check_new(members: list[tuple[int, int]]) -> tuple[int, ...] | None:
-        for t, i in members:
-            b = anchored_blocker(t, i)
-            if b is not None:
-                return b
         return None
 
     class _Stop(Exception):
@@ -467,16 +387,11 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
         """Explore decisions for type-0 agent d; return a backjump level or None."""
         nonlocal decided
         if d == n:
-            blk = _rows_blocker(inst, rows)
+            blk = first_blocker(inst, rows)
             if blk is None:
-                found.append(
-                    Matching.of([Family(f) for f in chosen if f is not None])
-                )
+                found.append(Matching.of([f for f in chosen if f is not None]))
                 raise _Stop
-            return blocker_level(blk.members)
-
-        members = [0] * k
-        members[0] = d
+            return blocker_level(blk)
 
         def commit(fam: tuple[int, ...]) -> int | None:
             # returns a backjump level strictly below d, or None to continue
@@ -487,7 +402,10 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
                 level_of[t][fam[t]] = d
             chosen[d] = fam
             decided = d + 1
-            blk = check_new([(t, fam[t]) for t in range(k)])
+            for t in range(k):
+                blk = anchored_blocker(t, fam[t])
+                if blk is not None:
+                    break
             if blk is not None:
                 jump = blocker_level(blk)  # always <= d: members are finalized
             else:
@@ -499,23 +417,10 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
                 level_of[t][fam[t]] = -1
             return jump if jump is not None and jump < d else None
 
-        def pick(t: int) -> int | None:
-            if t == k:
-                if ranks[k - 1][members[k - 1]].get(members[0]) is None:
-                    return None
-                return commit(tuple(members))
-            for j in accept[t - 1][members[t - 1]]:
-                if rows[t][j] >= 0:
-                    continue
-                members[t] = j
-                jump = pick(t + 1)
-                if jump is not None and jump < d:
-                    return jump
-            return None
-
-        jump = pick(1)
-        if jump is not None and jump < d:
-            return jump
+        for fam in _open_families(inst, accept, rows, d):
+            jump = commit(fam)
+            if jump is not None:
+                return jump
 
         # the unmatched decision, tried last
         spend_node()
@@ -537,6 +442,7 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
     elapsed = time.perf_counter() - t_start
     if found:
         m = found[0]
-        assert find_blocking_naive(inst, m) is None
+        if find_blocking_naive(inst, m) is not None:
+            raise RuntimeError("solver leaf passed a blocked matching")
         return SolveOutcome(SolveStatus.FOUND, m, nodes, elapsed)
     return SolveOutcome(status, None, nodes, elapsed)

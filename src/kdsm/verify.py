@@ -11,16 +11,19 @@ when no family strongly blocks it. Two independent deciders are provided:
   of k, and cycles of length exactly k are precisely the strongly blocking
   families. The cycle method stays polynomial in n and k.
 
-Both must agree on the verdict; witnesses may differ.
+Both read a matching in its partner-row form (``rows[t][i]`` is the
+partner index of agent (t, i), -1 when unmatched) and share the per-agent
+"better than my partner" lists, but each decides independently. Both must
+agree on the verdict; witnesses may differ. The same partner rows, lists
+and lexicographic family walker serve the solvers in :mod:`kdsm.solve`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Iterator, Literal, Sequence
 
 from .core import (
-    AgentRef,
     Family,
     Instance,
     InvalidFamilyError,
@@ -53,62 +56,79 @@ def is_strongly_blocking(inst: Instance, m: Matching, f: Family) -> bool:
     )
 
 
-def _improvement_prefixes(inst: Instance, m: Matching) -> list[list[list[int]]]:
-    """For each agent, the next-type indices it strictly prefers to its partner.
+def partner_rows(inst: Instance, m: Matching) -> list[list[int]]:
+    """The partner-row form of ``m``: ``rows[t][i]`` is the index of agent
+    (t, i)'s partner, or -1 when the agent is unmatched.
 
-    Entries keep preference-list order. An unmatched agent (or one whose
-    partner does not appear in its list) prefers its whole list.
+    Raises InvalidFamilyError for a family whose member count is not k or
+    whose members fall outside [0, n).
     """
-    out: list[list[list[int]]] = []
-    for t in range(inst.k):
-        row = []
-        for i in range(inst.n):
-            a = AgentRef(t, i)
-            p = m.partner(a)
-            lst = inst.prefs[t][i]
-            if p == a:
-                row.append(list(lst))
-            else:
-                r = inst.rank_of(a, p.i)
-                row.append(list(lst) if r is None else list(lst[:r]))
-        out.append(row)
-    return out
+    k, n = inst.k, inst.n
+    rows = [[-1] * n for _ in range(k)]
+    for f in m:
+        if len(f.members) != k or not all(0 <= i < n for i in f.members):
+            raise InvalidFamilyError("; ".join(family_violations(inst, f)))
+        for t in range(k):
+            rows[t][f.members[t]] = f.members[(t + 1) % k]
+    return rows
 
 
-def _first_blocker(prefixes: list[list[list[int]]], k: int, n: int) -> Family | None:
-    """Lexicographically smallest strongly blocking family, or None.
+def better_than_partner(
+    lst: tuple[int, ...], rank: dict[int, int], p: int
+) -> tuple[int, ...]:
+    """The entries of ``lst``, in order, its agent prefers to partner index ``p``.
 
-    ``prefixes`` must come from :func:`_improvement_prefixes`. The scan
-    walks candidate members in ascending index order, so the first family
-    completed is the lexicographic minimum; pruning on the improvement
-    prefixes is safe because membership in a blocking family requires every
-    cyclic step to be an improvement.
+    ``rank`` maps each entry to its position; ``p`` is -1 when unmatched.
+    An unmatched agent, or one whose partner is unlisted, prefers all of ``lst``.
     """
-    sorted_prefix = [[sorted(p) for p in row] for row in prefixes]
-    prefix_sets = [[set(p) for p in row] for row in prefixes]
+    return lst if p < 0 else lst[: rank.get(p, len(lst))]
+
+
+def improvement_rows(
+    inst: Instance, rows: list[list[int]]
+) -> list[list[tuple[int, ...]]]:
+    """:func:`better_than_partner` for every agent of the partner rows ``rows``."""
+    return [
+        [better_than_partner(lst, rank, p) for lst, rank, p in zip(lists, ranks, row)]
+        for lists, ranks, row in zip(inst.prefs, inst._ranks, rows)
+    ]
+
+
+def lex_families(lists: Sequence[Sequence[Sequence[int]]]) -> Iterator[tuple[int, ...]]:
+    """Families f with f[(t + 1) % k] in lists[t][f[t]] for every t, lexicographic.
+
+    Over the preference lists these are the valid families (exactly those
+    that block the empty matching); over the improvement lists they are the
+    strongly blocking families.
+    """
+    k, n = len(lists), len(lists[0])
+    steps = [[sorted(lst) for lst in lists[t]] for t in range(k - 1)]
+    closing = [set(lst) for lst in lists[k - 1]]
     members = [0] * k
 
-    def extend(t: int) -> bool:
-        if t == k:
-            return members[0] in prefix_sets[k - 1][members[k - 1]]
-        for j in sorted_prefix[t - 1][members[t - 1]]:
+    def extend(t: int) -> Iterator[tuple[int, ...]]:
+        last = t == k - 1
+        for j in steps[t - 1][members[t - 1]]:
             members[t] = j
-            if extend(t + 1):
-                return True
-        return False
+            if not last:
+                yield from extend(t + 1)
+            elif members[0] in closing[j]:
+                yield tuple(members)
 
     for i0 in range(n):
         members[0] = i0
-        if extend(1):
-            return Family(tuple(members))
-    return None
+        yield from extend(1)
+
+
+def first_blocker(inst: Instance, rows: list[list[int]]) -> tuple[int, ...] | None:
+    """Lexicographically smallest family strongly blocking the partner rows ``rows``."""
+    return next(lex_families(improvement_rows(inst, rows)), None)
 
 
 def find_blocking_naive(inst: Instance, m: Matching) -> Family | None:
     """Scan all candidate families; return the lexicographically smallest blocker."""
-    if inst.n == 0:
-        return None
-    return _first_blocker(_improvement_prefixes(inst, m), inst.k, inst.n)
+    blocker = first_blocker(inst, partner_rows(inst, m))
+    return None if blocker is None else Family(blocker)
 
 
 def find_blocking_cycle(inst: Instance, m: Matching) -> Family | None:
@@ -120,9 +140,7 @@ def find_blocking_cycle(inst: Instance, m: Matching) -> Family | None:
     the first witness found from the smallest start vertex, or None.
     """
     k, n = inst.k, inst.n
-    if n == 0:
-        return None
-    succ = _improvement_prefixes(inst, m)
+    succ = improvement_rows(inst, partner_rows(inst, m))
     for start in range(n):
         if not succ[0][start]:
             continue
@@ -145,11 +163,12 @@ def find_blocking_cycle(inst: Instance, m: Matching) -> Family | None:
             for d in range(k, 0, -1):
                 v = layers[d][v]
                 members[(d - 1) % k] = v
-            assert members[0] == start
-            # witness soundness: every cyclic step must be an improvement edge
-            assert all(
+            # witness soundness: the walk closes on its start and every
+            # cyclic step is an improvement edge
+            if members[0] != start or not all(
                 members[(t + 1) % k] in succ[t][members[t]] for t in range(k)
-            ), "reconstructed cycle is not a blocking family"
+            ):
+                raise RuntimeError("reconstructed cycle is not a blocking family")
             return Family(tuple(members))
     return None
 

@@ -8,6 +8,7 @@ scans, so they can serve as ground truth for the optimized implementations.
 from __future__ import annotations
 
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,19 @@ def oracle_all_matchings(inst: Instance) -> list[tuple[tuple[int, ...], ...]]:
 
 def oracle_stable_matchings(inst: Instance) -> list[tuple[tuple[int, ...], ...]]:
     return [m for m in oracle_all_matchings(inst) if oracle_is_stable(inst, m)]
+
+
+def mutate_instance(inst: Instance, seed: int, density: float = 0.5) -> Instance:
+    """Redraw 1-3 seeded preference lists of ``inst`` at ``density``."""
+    rng = random.Random(seed)
+    prefs = [list(row) for row in inst.prefs]
+    for _ in range(rng.randint(1, 3)):
+        t = rng.randrange(inst.k)
+        i = rng.randrange(inst.n)
+        sub = [c for c in range(inst.n) if rng.random() < density]
+        rng.shuffle(sub)
+        prefs[t][i] = tuple(sub)
+    return Instance(inst.k, inst.n, tuple(tuple(row) for row in prefs))
 
 
 def as_matching(families) -> Matching:

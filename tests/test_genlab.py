@@ -139,3 +139,10 @@ class TestExperiments:
         seq = run_experiment("eriksson-bound", samples=40, seed=9, threads=1)
         par = run_experiment("eriksson-bound", samples=40, seed=9, threads=2)
         assert serialize_report(seq) == serialize_report(par)
+
+    @pytest.mark.parametrize("kw", [dict(n=2), dict(k=6, n=2, full=True)])
+    def test_threads_match_sequential_exhaustive(self, kw):
+        seq = run_experiment("boros-bound", threads=1, **kw)
+        par = run_experiment("boros-bound", threads=2, **kw)
+        assert dict(seq.params)["mode"] == "exhaustive"
+        assert serialize_report(seq) == serialize_report(par)

@@ -17,7 +17,12 @@ from kdsm import (
     find_weakly_stable,
     random_instance,
 )
-from conftest import as_matching, oracle_all_matchings, oracle_stable_matchings
+from conftest import (
+    as_matching,
+    mutate_instance,
+    oracle_all_matchings,
+    oracle_stable_matchings,
+)
 
 
 class TestEnumerate:
@@ -45,6 +50,11 @@ class TestEnumerate:
                 for m in enumerate_weakly_stable(inst)
             )
             assert got == want
+
+    def test_limit_zero_is_empty(self, rank0_first_instance, no_stable_instance):
+        assert enumerate_weakly_stable(rank0_first_instance, limit=0) == []
+        mutated = mutate_instance(no_stable_instance, 0)
+        assert enumerate_weakly_stable(mutated, limit=0) == []
 
     def test_limit_is_canonical_prefix(self, rank0_first_instance):
         full = enumerate_weakly_stable(rank0_first_instance)
@@ -127,6 +137,19 @@ class TestFind:
                 assert find_blocking_cycle(inst, out.matching) is None
             else:
                 assert out.status is SolveStatus.EXHAUSTED_NONE
+
+    def test_exhausted_none_matches_enumeration_on_mutations(self, no_stable_instance):
+        # fixture mutations are the one seeded source of instances that
+        # really lack a stable matching, so EXHAUSTED-NONE is exercised here
+        statuses = set()
+        for seed in range(300):
+            inst = mutate_instance(no_stable_instance, seed)
+            out = find_weakly_stable(inst)
+            statuses.add(out.status)
+            exists = bool(enumerate_weakly_stable(inst, limit=1))
+            want = SolveStatus.FOUND if exists else SolveStatus.EXHAUSTED_NONE
+            assert out.status is want, f"mutation seed {seed}"
+        assert statuses == {SolveStatus.FOUND, SolveStatus.EXHAUSTED_NONE}
 
     def test_deterministic_nodes(self, no_stable_instance):
         a = find_weakly_stable(no_stable_instance)

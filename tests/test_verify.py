@@ -79,6 +79,15 @@ class TestFindBlocking:
             assert is_strongly_blocking(lifted, Matching.of([]), cyc)
 
 
+    @pytest.mark.parametrize("find", [find_blocking_naive, find_blocking_cycle])
+    def test_matching_that_does_not_fit_raises(self, find):
+        inst = random_instance(1, 3, 2, 1.0)
+        with pytest.raises(InvalidFamilyError):
+            find(inst, Matching.of([(0, 5, 0)]))  # member out of range
+        with pytest.raises(InvalidFamilyError):
+            find(inst, Matching.of([(0, 1)]))  # two members for k=3
+
+
 class TestIsWeaklyStable:
     def test_full_singleton_stable(self, tiny_complete):
         assert is_weakly_stable(tiny_complete, Matching.of([(0, 0, 0)])).stable
