@@ -33,6 +33,10 @@ class InvalidFamilyError(KdsmError):
     """A family is not valid for the instance it is used with."""
 
 
+class InvalidInstanceError(KdsmError):
+    """A preference list holds an out-of-range or repeated entry."""
+
+
 class DimensionError(KdsmError):
     """An instance has the wrong dimension for the requested operation."""
 
@@ -104,16 +108,37 @@ class Instance:
         return self.prefs[a.t][a.i]
 
     @cached_property
-    def _ranks(self) -> tuple[tuple[dict[int, int], ...], ...]:
-        # position index per agent so preference queries are O(1)
-        return tuple(
-            tuple({x: r for r, x in enumerate(lst)} for lst in row)
-            for row in self.prefs
-        )
+    def _better(self) -> list[list[list[int]]]:
+        # _better[t][i][x]: bitmask of the entries agent (t, i) strictly prefers
+        # to x. Slot n (so also -1, "unmatched") and every unlisted x hold all
+        # listed entries: an unlisted partner is no better than none.
+        n = self.n
+        full = (1 << n) - 1
+        bit = [1 << x for x in range(n)]
+        table = []
+        for row in self.prefs:
+            masks_row = []
+            for lst in row:
+                masks = [0] * (n + 1)
+                acc = 0
+                for x in lst:
+                    if not 0 <= x < n or acc & bit[x]:
+                        raise InvalidInstanceError("; ".join(validate_instance(self).violations))
+                    masks[x] = acc
+                    acc |= bit[x]
+                if acc != full:
+                    masks = [m if acc >> x & 1 else acc for x, m in enumerate(masks)]
+                masks[n] = acc
+                masks_row.append(masks)
+            table.append(masks_row)
+        return table
 
     def rank_of(self, a: AgentRef, candidate: int) -> int | None:
         """Position of ``candidate`` in a's list, or None if absent."""
-        return self._ranks[a.t][a.i].get(candidate)
+        masks = self._better[a.t][a.i]
+        if 0 <= candidate < self.n and masks[-1] >> candidate & 1:
+            return masks[candidate].bit_count()
+        return None
 
     @cached_property
     def is_complete(self) -> bool:
@@ -351,6 +376,8 @@ def parse_matching(text: str) -> Matching:
             fams.append(Family(tuple(int(x) for x in tokens[1:])))
         except ValueError as exc:
             raise FormatError(f"non-integer token in family line: {ln!r}") from exc
+    if len(set(fams)) != len(fams):
+        raise FormatError("duplicate family line")
     return Matching.of(fams)
 
 

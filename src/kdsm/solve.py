@@ -15,8 +15,8 @@ the search backjumps to the shallowest level that could disturb it.
 
 Every search holds its current matching in the partner-row form of
 :mod:`kdsm.verify` (``rows[t][i]`` is the partner index of agent (t, i),
--1 when unmatched) and tests complete candidates with the same
-lexicographic first-blocker scan as the naive verifier.
+-1 when unmatched), reads the instance's one "better than" bitmask table
+and tests complete candidates with the naive verifier's first-blocker scan.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ from typing import Iterator
 
 from .core import Instance, Matching, SpaceTooLargeError
 from .verify import (
-    better_than_partner,
     find_blocking_naive,
     first_blocker,
+    improvement_masks,
+    iter_bits,
     lex_families,
 )
 
@@ -66,7 +67,7 @@ class SolveOutcome:
 def _check_family_bound(inst: Instance, max_families: int) -> list[tuple[int, ...]]:
     """All valid families in lexicographic order, or SpaceTooLargeError."""
     fams = []
-    for f in lex_families(inst.prefs):
+    for f in lex_families(improvement_masks(inst, [[-1] * inst.n] * inst.k)):
         fams.append(f)
         if len(fams) > max_families:
             raise SpaceTooLargeError(
@@ -96,28 +97,28 @@ def _check_perfect_bound(inst: Instance, max_families: int) -> None:
 
 
 def _open_families(
-    inst: Instance, accept: list[list[list[int]]], rows: list[list[int]], d: int
+    inst: Instance, rows: list[list[int]], d: int
 ) -> Iterator[tuple[int, ...]]:
     """Families through type-0 agent ``d`` whose other members are unmatched
-    in ``rows``, lexicographic; ``accept`` holds the sorted preference lists.
+    in ``rows``, lexicographic.
 
     ``rows`` is read lazily: callers may change it while the generator is
     suspended if they restore it before resuming.
     """
     k = inst.k
-    closing = inst._ranks[k - 1]
+    better = inst._better
     members = [0] * k
     members[0] = d
 
     def extend(t: int) -> Iterator[tuple[int, ...]]:
         last = t == k - 1
-        for j in accept[t - 1][members[t - 1]]:
+        for j in iter_bits(better[t - 1][members[t - 1]][-1]):
             if rows[t][j] >= 0:
                 continue
             members[t] = j
             if not last:
                 yield from extend(t + 1)
-            elif d in closing[j]:
+            elif better[k - 1][j][-1] >> d & 1:
                 yield tuple(members)
 
     yield from extend(1)
@@ -157,23 +158,6 @@ def _disjoint_subsets(
     yield from rec(0)
 
 
-def _prepare_masks(inst: Instance) -> list[list[list[int]]]:
-    """better[t][i][x] = bitmask of indices agent (t,i) prefers to x."""
-    n = inst.n
-    better = []
-    for t in range(inst.k):
-        row = []
-        for i in range(n):
-            masks = [0] * n
-            acc = 0
-            for x in inst.prefs[t][i]:
-                masks[x] = acc
-                acc |= 1 << x
-            row.append(masks)
-        better.append(row)
-    return better
-
-
 def _scan_complete_k3(inst: Instance, count_all: bool, cap: int | None = None) -> int:
     """Count weakly stable perfect matchings of a complete k=3 instance.
 
@@ -186,7 +170,7 @@ def _scan_complete_k3(inst: Instance, count_all: bool, cap: int | None = None) -
     n = inst.n
     if n == 0:
         return 1
-    bet0, bet1, bet2 = _prepare_masks(inst)
+    bet0, bet1, bet2 = inst._better
     count = 0
     rng_n = range(n)
     for sigma in permutations(rng_n):
@@ -227,7 +211,6 @@ def _scan_complete_k3(inst: Instance, count_all: bool, cap: int | None = None) -
 def _enumerate_perfect(inst: Instance) -> Iterator[Matching]:
     """Weakly stable perfect matchings in canonical order (complete instances)."""
     k, n = inst.k, inst.n
-    accept = [[sorted(lst) for lst in row] for row in inst.prefs]
     rows = [[-1] * n for _ in range(k)]
     chosen: list[tuple[int, ...]] = []
 
@@ -236,7 +219,7 @@ def _enumerate_perfect(inst: Instance) -> Iterator[Matching]:
             if first_blocker(inst, rows) is None:
                 yield Matching.of(chosen)
             return
-        for fam in _open_families(inst, accept, rows, i0):
+        for fam in _open_families(inst, rows, i0):
             chosen.append(fam)
             _set_family(rows, fam, True)
             yield from assign(i0 + 1)
@@ -303,7 +286,6 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
     budget = budget or Budget()
     k, n = inst.k, inst.n
     prefs = inst.prefs
-    ranks = inst._ranks
     deadline = (
         t_start + budget.max_seconds if budget.max_seconds is not None else None
     )
@@ -317,7 +299,6 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
     rows = [[-1] * n for _ in range(k)]  # partner index or -1
     level_of = [[-1] * n for _ in range(k)]  # decision level that matched the agent
     decided = 0  # type-0 agents with a final decision
-    accept = [[sorted(lst) for lst in prefs[t]] for t in range(k)]
     chosen: list[tuple[int, ...] | None] = [None] * n
     nodes = 0
     out_of_budget = False
@@ -348,7 +329,10 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
             if step == k:
                 return i == i0 and t == t0
             nt = (t + 1) % k
-            for j in better_than_partner(prefs[t][i], ranks[t][i], rows[t][i]):
+            p = rows[t][i]
+            for j in prefs[t][i]:
+                if j == p:
+                    break
                 work -= 1
                 if work <= 0:
                     return False
@@ -417,7 +401,7 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
                 level_of[t][fam[t]] = -1
             return jump if jump is not None and jump < d else None
 
-        for fam in _open_families(inst, accept, rows, d):
+        for fam in _open_families(inst, rows, d):
             jump = commit(fam)
             if jump is not None:
                 return jump

@@ -12,9 +12,9 @@ when no family strongly blocks it. Two independent deciders are provided:
   families. The cycle method stays polynomial in n and k.
 
 Both read a matching in its partner-row form (``rows[t][i]`` is the
-partner index of agent (t, i), -1 when unmatched) and share the per-agent
-"better than my partner" lists, but each decides independently. Both must
-agree on the verdict; witnesses may differ. The same partner rows, lists
+partner index of agent (t, i), -1 when unmatched) and the instance's one
+"better than" bitmask table, but each decides independently. Both must
+agree on the verdict; witnesses may differ. The same partner rows, table
 and lexicographic family walker serve the solvers in :mod:`kdsm.solve`.
 """
 
@@ -29,7 +29,6 @@ from .core import (
     InvalidFamilyError,
     Matching,
     family_violations,
-    prefers,
 )
 
 # naive scan is preferred while k * n^k stays below this; the cycle method
@@ -50,9 +49,10 @@ def is_strongly_blocking(inst: Instance, m: Matching, f: Family) -> bool:
     problems = family_violations(inst, f)
     if problems:
         raise InvalidFamilyError("; ".join(problems))
+    rows, fm = partner_rows(inst, m), f.members
     return all(
-        prefers(inst, f.agent(t), f.agent(inst.next_type(t)), m.partner(f.agent(t)))
-        for t in range(inst.k)
+        inst._better[t][i][rows[t][i]] >> fm[(t + 1) % inst.k] & 1
+        for t, i in enumerate(fm)
     )
 
 
@@ -73,46 +73,40 @@ def partner_rows(inst: Instance, m: Matching) -> list[list[int]]:
     return rows
 
 
-def better_than_partner(
-    lst: tuple[int, ...], rank: dict[int, int], p: int
-) -> tuple[int, ...]:
-    """The entries of ``lst``, in order, its agent prefers to partner index ``p``.
-
-    ``rank`` maps each entry to its position; ``p`` is -1 when unmatched.
-    An unmatched agent, or one whose partner is unlisted, prefers all of ``lst``.
-    """
-    return lst if p < 0 else lst[: rank.get(p, len(lst))]
-
-
-def improvement_rows(
-    inst: Instance, rows: list[list[int]]
-) -> list[list[tuple[int, ...]]]:
-    """:func:`better_than_partner` for every agent of the partner rows ``rows``."""
+def improvement_masks(inst: Instance, rows: list[list[int]]) -> list[list[int]]:
+    """Per agent, the bitmask of the entries it prefers to its partner in ``rows``."""
     return [
-        [better_than_partner(lst, rank, p) for lst, rank, p in zip(lists, ranks, row)]
-        for lists, ranks, row in zip(inst.prefs, inst._ranks, rows)
+        [masks[p] for masks, p in zip(table_row, row)]
+        for table_row, row in zip(inst._better, rows)
     ]
 
 
-def lex_families(lists: Sequence[Sequence[Sequence[int]]]) -> Iterator[tuple[int, ...]]:
-    """Families f with f[(t + 1) % k] in lists[t][f[t]] for every t, lexicographic.
+def iter_bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask`` in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Over the preference lists these are the valid families (exactly those
-    that block the empty matching); over the improvement lists they are the
-    strongly blocking families.
+
+def lex_families(masks: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    """Families f with bit f[(t + 1) % k] set in masks[t][f[t]] for all t, lexicographic.
+
+    Over the masks of the all-unmatched rows these are the valid families
+    (exactly those that block the empty matching); over the improvement
+    masks of a matching they are its strongly blocking families.
     """
-    k, n = len(lists), len(lists[0])
-    steps = [[sorted(lst) for lst in lists[t]] for t in range(k - 1)]
-    closing = [set(lst) for lst in lists[k - 1]]
+    k, n = len(masks), len(masks[0])
+    closing = masks[k - 1]
     members = [0] * k
 
     def extend(t: int) -> Iterator[tuple[int, ...]]:
         last = t == k - 1
-        for j in steps[t - 1][members[t - 1]]:
+        for j in iter_bits(masks[t - 1][members[t - 1]]):
             members[t] = j
             if not last:
                 yield from extend(t + 1)
-            elif members[0] in closing[j]:
+            elif closing[j] >> members[0] & 1:
                 yield tuple(members)
 
     for i0 in range(n):
@@ -122,7 +116,7 @@ def lex_families(lists: Sequence[Sequence[Sequence[int]]]) -> Iterator[tuple[int
 
 def first_blocker(inst: Instance, rows: list[list[int]]) -> tuple[int, ...] | None:
     """Lexicographically smallest family strongly blocking the partner rows ``rows``."""
-    return next(lex_families(improvement_rows(inst, rows)), None)
+    return next(lex_families(improvement_masks(inst, rows)), None)
 
 
 def find_blocking_naive(inst: Instance, m: Matching) -> Family | None:
@@ -140,33 +134,32 @@ def find_blocking_cycle(inst: Instance, m: Matching) -> Family | None:
     the first witness found from the smallest start vertex, or None.
     """
     k, n = inst.k, inst.n
-    succ = improvement_rows(inst, partner_rows(inst, m))
+    succ = improvement_masks(inst, partner_rows(inst, m))
     for start in range(n):
         if not succ[0][start]:
             continue
-        # layers[d] maps an index at type d % k to its BFS parent index;
-        # the layering realizes the fact that every improvement edge
-        # advances the type by one, so a return to the start (a type-0
-        # vertex) can only happen at a depth divisible by k
-        layers: list[dict[int, int]] = [{start: -1}]
+        # layers[d] is the n-bit set of type-(d % k) indices reached in d steps;
+        # every improvement edge advances the type by one, so a return to the
+        # start (a type-0 vertex) can only happen at a depth divisible by k
+        layers = [1 << start]
         for d in range(1, k + 1):
-            t_prev = (d - 1) % k
-            frontier: dict[int, int] = {}
-            for u in sorted(layers[d - 1]):
-                for v in succ[t_prev][u]:
-                    if v not in frontier:
-                        frontier[v] = u
+            frontier = 0
+            for u in iter_bits(layers[d - 1]):
+                frontier |= succ[(d - 1) % k][u]
             layers.append(frontier)
-        if start in layers[k]:
+        if layers[k] >> start & 1:
+            # walk back through first BFS parents: the smallest index of the
+            # previous layer with an edge to the member after it
             members = [0] * k
             v = start
             for d in range(k, 0, -1):
-                v = layers[d][v]
-                members[(d - 1) % k] = v
+                t = (d - 1) % k
+                v = next(u for u in iter_bits(layers[d - 1]) if succ[t][u] >> v & 1)
+                members[t] = v
             # witness soundness: the walk closes on its start and every
             # cyclic step is an improvement edge
             if members[0] != start or not all(
-                members[(t + 1) % k] in succ[t][members[t]] for t in range(k)
+                succ[t][members[t]] >> members[(t + 1) % k] & 1 for t in range(k)
             ):
                 raise RuntimeError("reconstructed cycle is not a blocking family")
             return Family(tuple(members))

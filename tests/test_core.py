@@ -6,10 +6,15 @@ from kdsm import (
     AgentRef,
     Family,
     Instance,
+    InvalidInstanceError,
     Matching,
     TypeMismatchError,
+    count_weakly_stable,
+    enumerate_weakly_stable,
     family_violations,
+    find_weakly_stable,
     instance_digest,
+    is_weakly_stable,
     parse_instance,
     parse_matching,
     partner,
@@ -20,6 +25,8 @@ from kdsm import (
     validate_matching,
 )
 from kdsm.core import FormatError
+from kdsm.verify import improvement_masks
+from conftest import oracle_prefers
 
 
 @st.composite
@@ -94,6 +101,28 @@ class TestPrefers:
                         else:
                             assert not fwd and not bwd
 
+    @given(instances(max_k=4, max_n=5))
+    @settings(max_examples=80)
+    def test_better_table_matches_list_scans(self, inst):
+        n = inst.n
+        for t in range(inst.k):
+            for i in range(n):
+                lst = inst.prefs[t][i]
+                for c in range(n):
+                    want = lst.index(c) if c in lst else None
+                    assert inst.rank_of(AgentRef(t, i), c) == want
+        # every agent gets the same incumbent: -1 is unmatched, and an
+        # incumbent missing from a list plays the unlisted partner
+        for p in range(-1, n):
+            masks = improvement_masks(inst, [[p] * n for _ in range(inst.k)])
+            for t in range(inst.k):
+                for i in range(n):
+                    for c in range(n):
+                        got = bool(masks[t][i] >> c & 1)
+                        assert got == oracle_prefers(
+                            inst.prefs, t, i, c, None if p < 0 else p
+                        )
+
 
 class TestValidation:
     def test_complete_singleton(self):
@@ -117,6 +146,24 @@ class TestValidation:
         rep = validate_instance(inst)
         assert not rep.ok
         assert any("out of range" in v for v in rep.violations)
+
+    @pytest.mark.parametrize(
+        "first_list", [(1, -1), (1, 2), (1, 1)], ids=["negative", "equal-n", "repeated"]
+    )
+    def test_invalid_entries_are_rejected(self, first_list):
+        inst = make(3, 2, [[first_list, (0, 1)], [(0, 1), (0, 1)], [(0, 1), (0, 1)]])
+        assert not validate_instance(inst).ok
+        calls = [
+            lambda: enumerate_weakly_stable(inst),
+            lambda: count_weakly_stable(inst),
+            lambda: find_weakly_stable(inst),
+            lambda: is_weakly_stable(inst, Matching.of([]), method="naive"),
+            lambda: is_weakly_stable(inst, Matching.of([]), method="cycle"),
+            lambda: family_violations(inst, Family((0, 0, 0))),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidInstanceError):
+                call()
 
     def test_build_pads_unequal_types(self):
         inst = Instance.build(3, [[(0,), (1,)], [(0,)], []])
@@ -176,6 +223,10 @@ class TestSerialization:
         text = serialize_matching(m)
         assert text == "KDSM-MATCHING 1\nfamily 0 1 1\nfamily 1 0 2\n"
         assert parse_matching(text) == m
+
+    def test_duplicate_family_line_rejected(self):
+        with pytest.raises(FormatError):
+            parse_matching("KDSM-MATCHING 1\nfamily 0 0 0\nfamily 0 0 0\n")
 
     def test_missing_pref_lines_parse_as_empty(self):
         inst = parse_instance("KDSM 1\nk 2\nn 2\npref 0 1 : 0\n")

@@ -20,6 +20,10 @@ from kdsm import (
 from conftest import as_matching, oracle_blockers, oracle_is_stable
 
 
+def family_000_blocks(inst, m):
+    return is_strongly_blocking(inst, m, Family((0, 0, 0)))
+
+
 class TestIsStronglyBlocking:
     def test_all_unmatched_blocks(self, tiny_complete):
         assert is_strongly_blocking(tiny_complete, Matching.of([]), Family((0, 0, 0)))
@@ -79,7 +83,9 @@ class TestFindBlocking:
             assert is_strongly_blocking(lifted, Matching.of([]), cyc)
 
 
-    @pytest.mark.parametrize("find", [find_blocking_naive, find_blocking_cycle])
+    @pytest.mark.parametrize(
+        "find", [find_blocking_naive, find_blocking_cycle, family_000_blocks]
+    )
     def test_matching_that_does_not_fit_raises(self, find):
         inst = random_instance(1, 3, 2, 1.0)
         with pytest.raises(InvalidFamilyError):
