@@ -104,9 +104,6 @@ class Instance:
             for i in range(self.n):
                 yield AgentRef(t, i)
 
-    def pref_list(self, a: AgentRef) -> tuple[int, ...]:
-        return self.prefs[a.t][a.i]
-
     @cached_property
     def _better(self) -> list[list[list[int]]]:
         # _better[t][i][x]: bitmask of the entries agent (t, i) strictly prefers
@@ -205,9 +202,6 @@ class Matching:
     def partner(self, a: AgentRef) -> AgentRef:
         """The next-type member of a's family, or ``a`` itself if unmatched."""
         return self._partners.get(a, a)
-
-    def is_matched(self, a: AgentRef) -> bool:
-        return a in self._partners
 
     def __len__(self) -> int:
         return len(self.families)

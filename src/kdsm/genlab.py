@@ -10,18 +10,29 @@ given seed on any platform running the same Python series.
 increasing (t, i) order it draws n uniform floats (one inclusion test per
 candidate, kept when the draw is below the density) and then shuffles the
 kept candidates in place.
+
+Every experiment runs the same pipeline. Its runner yields one record per
+instance, ``(digest, detail, problem)``, with ``problem`` None when the
+instance passed; ``_report`` turns the records into the one report shape
+(result lines, failure lines, totals, params and summary in key order).
+``EXPERIMENTS`` maps each id to its runner and defaults. Stable matchings
+are counted through ``solve.count_weakly_stable``, which alone decides
+between the complete k=3 scan and enumeration; in the pool its per-instance
+form is ``_count_record``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations, product
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator
 
 from .core import (
     AgentRef,
+    DimensionError,
     Family,
     Instance,
     KdsmError,
@@ -43,8 +54,8 @@ from .reductions import (
 from .solve import (
     MAX_CANDIDATE_FAMILIES,
     _check_family_bound,
-    _scan_complete_k3,
     count_matchings,
+    count_weakly_stable,
     enumerate_weakly_stable,
 )
 from .verify import (
@@ -52,16 +63,6 @@ from .verify import (
     find_blocking_naive,
     is_strongly_blocking,
     is_weakly_stable,
-)
-
-EXPERIMENT_IDS = (
-    "boros-bound",
-    "eriksson-bound",
-    "pp-two-matchings",
-    "verifier-equivalence",
-    "lift-3k-equivalence",
-    "complete-positive",
-    "complete-negative",
 )
 
 # exhaustive experiment stages switch to sampling above this many instances
@@ -74,6 +75,12 @@ class UnknownExperimentError(KdsmError):
     pass
 
 
+def _random_list(rng: random.Random, n: int, density: float) -> tuple[int, ...]:
+    sub = [c for c in range(n) if rng.random() < density]
+    rng.shuffle(sub)
+    return tuple(sub)
+
+
 def random_instance(seed: int, k: int, n: int, density: float = 1.0) -> Instance:
     """A seeded random instance; each list is a random permutation of a
     random subset holding each candidate independently with probability
@@ -83,15 +90,10 @@ def random_instance(seed: int, k: int, n: int, density: float = 1.0) -> Instance
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
     rng = random.Random(seed)
-    rows = []
-    for _t in range(k):
-        row = []
-        for _i in range(n):
-            sub = [c for c in range(n) if rng.random() < density]
-            rng.shuffle(sub)
-            row.append(tuple(sub))
-        rows.append(tuple(row))
-    return Instance(k, n, tuple(rows))
+    prefs = tuple(
+        tuple(_random_list(rng, n, density) for _i in range(n)) for _t in range(k)
+    )
+    return Instance(k, n, prefs)
 
 
 def random_matching(inst: Instance, seed: int, keep: float = 0.7) -> Matching:
@@ -161,16 +163,6 @@ class Certificate:
     note: str
 
 
-def _capped_stable_count(inst: Instance, cap: int) -> int:
-    return len(enumerate_weakly_stable(inst, limit=cap))
-
-
-def _random_list(rng: random.Random, n: int, density: float) -> tuple[int, ...]:
-    sub = [c for c in range(n) if rng.random() < density]
-    rng.shuffle(sub)
-    return tuple(sub)
-
-
 def _hill_climb(
     n: int, seed_tag: str, evals: int, density: float = 0.55
 ) -> tuple[Instance | None, int]:
@@ -190,7 +182,7 @@ def _hill_climb(
             [_random_list(rng, n, density) for _ in range(n)] for _ in range(3)
         ]
         inst = Instance.build(3, prefs)
-        best = _capped_stable_count(inst, cap=4)
+        best = count_weakly_stable(inst, limit=4)
         spent += 1
         if best == 0:
             return inst, spent
@@ -202,7 +194,7 @@ def _hill_climb(
             old = prefs[t][i]
             prefs[t][i] = _random_list(rng, n, density)
             trial = Instance.build(3, prefs)
-            val = _capped_stable_count(trial, cap=best + 1)
+            val = count_weakly_stable(trial, limit=best + 1)
             spent += 1
             if val <= best:
                 best = val
@@ -224,15 +216,12 @@ def _shrink_counterexample(inst: Instance) -> Instance:
                 pos = 0
                 while pos < len(prefs[t][i]):
                     removed = prefs[t][i].pop(pos)
-                    trial = Instance(
-                        3, inst.n, tuple(tuple(tuple(l) for l in row) for row in prefs)
-                    )
-                    if _capped_stable_count(trial, cap=1) == 0:
+                    if count_weakly_stable(Instance.build(3, prefs), limit=1) == 0:
                         changed = True
                     else:
                         prefs[t][i].insert(pos, removed)
                         pos += 1
-    return Instance(3, inst.n, tuple(tuple(tuple(l) for l in row) for row in prefs))
+    return Instance.build(3, prefs)
 
 
 def certify_no_stable(inst: Instance) -> Certificate:
@@ -270,7 +259,7 @@ def search_counterexample(
         found: Instance | None = None
         if count_instances(3, n, complete=False) <= exhaustive_cap:
             for inst in enumerate_instances(3, n, complete=False):
-                if _capped_stable_count(inst, cap=1) == 0:
+                if count_weakly_stable(inst, limit=1) == 0:
                     found = inst
                     break
         else:
@@ -325,18 +314,46 @@ def _map_maybe_parallel(
         yield from pool.imap(worker, items, chunksize=chunksize)
 
 
-def _w_has_stable(inst: Instance) -> tuple[str, bool]:
-    """Digest of ``inst`` and whether it has a weakly stable matching."""
-    if inst.k == 3 and inst.is_complete and inst.n >= 1:
-        ok = _scan_complete_k3(inst, count_all=False) > 0
-    else:
-        ok = bool(enumerate_weakly_stable(inst, limit=1))
-    return instance_digest(inst), ok
+def _count_record(inst: Instance, limit: int | None) -> tuple[str, int]:
+    """Digest of ``inst`` and its number of weakly stable matchings, capped at ``limit``."""
+    return instance_digest(inst), count_weakly_stable(inst, limit=limit)
 
 
-def _w_count_stable(inst: Instance) -> tuple[str, int]:
-    """Digest of complete k=3 ``inst`` and its number of weakly stable matchings."""
-    return instance_digest(inst), _scan_complete_k3(inst, count_all=True)
+# one record per instance: (digest, detail, problem or None when it passed)
+Record = tuple[str, str, str | None]
+
+
+def _report(
+    name: str,
+    params: dict[str, object],
+    records: Iterable[Record],
+    extra: Callable[[int, int], dict[str, object]] = lambda total, failed: {},
+) -> ExperimentReport:
+    """The report of one experiment run from its per-instance records.
+
+    A record with a problem is a failure. Result lines stop after
+    ``RESULT_RECORD_CAP`` records; failures and totals cover them all.
+    ``extra(total, failed)`` adds summary entries; params and summary are
+    written in key order.
+    """
+    results = []
+    failures = []
+    total = 0
+    for digest, detail, problem in records:
+        total += 1
+        if len(results) < RESULT_RECORD_CAP:
+            results.append((digest, "ok" if problem is None else "fail", detail))
+        if problem is not None:
+            failures.append(f"{digest} {problem}")
+    summary = {"failures": len(failures), "total": total}
+    summary.update(extra(total, len(failures)))
+    return ExperimentReport(
+        name, _sorted_pairs(params), tuple(results), _sorted_pairs(summary), tuple(failures)
+    )
+
+
+def _sorted_pairs(values: dict[str, object]) -> tuple[tuple[str, str], ...]:
+    return tuple((key, str(val)) for key, val in sorted(values.items()))
 
 
 def _sampled_complete(
@@ -349,18 +366,16 @@ def _sampled_complete(
         )
 
 
-def _existence_experiment(
+def _existence(
     name: str,
     k: int,
     n: int,
     samples: int | None,
     seed: int,
     threads: int,
-    force_exhaustive: bool = False,
+    full: bool = False,
 ) -> ExperimentReport:
-    results = []
-    failures = []
-    exhaustive = force_exhaustive or (
+    exhaustive = full or (
         samples is None and count_instances(k, n, complete=True) <= EXHAUSTIVE_INSTANCE_CAP
     )
     if exhaustive:
@@ -373,102 +388,75 @@ def _existence_experiment(
         mode = f"sample-{samples}"
         instances = _sampled_complete(name, seed, k, n, samples)
         chunksize = max(1, samples // (threads * 8))
-    records = _map_maybe_parallel(_w_has_stable, instances, threads, chunksize)
-    stable_count = 0
-    total = 0
-    truncated = False
-    for digest, ok in records:
-        total += 1
-        stable_count += 1 if ok else 0
-        if len(results) < RESULT_RECORD_CAP:
-            results.append(
-                (digest, "ok" if ok else "fail", "stable>=1" if ok else "stable=0")
-            )
-        else:
-            truncated = True
-        if not ok:
-            failures.append(f"{digest} admits no weakly stable matching")
-    params = (
-        ("k", str(k)),
-        ("mode", mode),
-        ("n", str(n)),
-        ("seed", str(seed)),
+    counts = _map_maybe_parallel(
+        partial(_count_record, limit=1), instances, threads, chunksize
     )
-    summary = (
-        ("failures", str(len(failures))),
-        ("results_truncated", "yes" if truncated else "no"),
-        ("total", str(total)),
-        ("with_stable", str(stable_count)),
+    records = (
+        (digest, "stable>=1", None)
+        if count
+        else (digest, "stable=0", "admits no weakly stable matching")
+        for digest, count in counts
     )
-    return ExperimentReport(name, params, tuple(results), summary, tuple(failures))
+    return _report(
+        name,
+        {"k": k, "mode": mode, "n": n, "seed": seed},
+        records,
+        lambda total, failed: {
+            "results_truncated": "yes" if total > RESULT_RECORD_CAP else "no",
+            "with_stable": total - failed,
+        },
+    )
 
 
-def _pp_experiment(samples: int, seed: int, threads: int) -> ExperimentReport:
+def _pp(name: str, samples: int, seed: int, threads: int) -> ExperimentReport:
     k, n = 3, 5
-    instances = _sampled_complete("pp-two-matchings", seed, k, n, samples)
+    instances = _sampled_complete(name, seed, k, n, samples)
     chunksize = max(1, samples // (threads * 8))
-    records = list(_map_maybe_parallel(_w_count_stable, instances, threads, chunksize))
-    results = []
-    failures = []
-    for digest, count in records:
-        ok = count >= 2
-        results.append((digest, "ok" if ok else "fail", f"count={count}"))
-        if not ok:
-            failures.append(f"{digest} has only {count} weakly stable matchings")
-    params = (
-        ("k", str(k)),
-        ("n", str(n)),
-        ("samples", str(samples)),
-        ("seed", str(seed)),
-    )
-    summary = (
-        ("failures", str(len(failures))),
-        ("min_count", str(min((c for _d, c in records), default=0))),
-        ("total", str(len(records))),
-    )
-    return ExperimentReport(
-        "pp-two-matchings", params, tuple(results), summary, tuple(failures)
+    seen: list[int] = []
+
+    def records() -> Iterator[Record]:
+        for digest, count in _map_maybe_parallel(
+            partial(_count_record, limit=None), instances, threads, chunksize
+        ):
+            seen.append(count)
+            problem = f"has only {count} weakly stable matchings" if count < 2 else None
+            yield digest, f"count={count}", problem
+
+    return _report(
+        name,
+        {"k": k, "n": n, "samples": samples, "seed": seed},
+        records(),
+        lambda total, failed: {"min_count": min(seen, default=0)},
     )
 
 
-def _verifier_equivalence_experiment(
-    samples: int, seed: int, threads: int
-) -> ExperimentReport:
-    del threads  # cheap enough sequentially; keeps the report path trivial
-    results = []
-    failures = []
-    for idx in range(samples):
-        rng = random.Random(f"{seed}:verifier-equivalence:{idx}")
-        k = rng.choice((3, 4, 5))
-        n = rng.randint(1, 6)
-        density = rng.choice((0.3, 0.6, 1.0))
-        inst = random_instance(rng.getrandbits(63), k, n, density)
-        m = random_matching(inst, rng.getrandbits(63))
-        naive = find_blocking_naive(inst, m)
-        cycle = find_blocking_cycle(inst, m)
-        agree = (naive is None) == (cycle is None)
-        digest = instance_digest(inst)
-        results.append(
-            (
-                digest,
-                "ok" if agree else "fail",
+def _verifier_equivalence(name: str, samples: int, seed: int) -> ExperimentReport:
+    def records() -> Iterator[Record]:
+        for idx in range(samples):
+            rng = random.Random(f"{seed}:{name}:{idx}")
+            k = rng.choice((3, 4, 5))
+            n = rng.randint(1, 6)
+            density = rng.choice((0.3, 0.6, 1.0))
+            inst = random_instance(rng.getrandbits(63), k, n, density)
+            m = random_matching(inst, rng.getrandbits(63))
+            naive = find_blocking_naive(inst, m)
+            cycle = find_blocking_cycle(inst, m)
+            detail = (
                 f"k={k} n={n} naive={'stable' if naive is None else 'blocked'}"
-                f" cycle={'stable' if cycle is None else 'blocked'}",
+                f" cycle={'stable' if cycle is None else 'blocked'}"
             )
-        )
-        if not agree:
-            failures.append(
-                f"{digest} verdict mismatch on matching {serialize_matching(m)!r}"
+            problem = (
+                None
+                if (naive is None) == (cycle is None)
+                else f"verdict mismatch on matching {serialize_matching(m)!r}"
             )
-    params = (("samples", str(samples)), ("seed", str(seed)))
-    summary = (("failures", str(len(failures))), ("total", str(len(results))))
-    return ExperimentReport(
-        "verifier-equivalence", params, tuple(results), summary, tuple(failures)
-    )
+            yield instance_digest(inst), detail, problem
+
+    return _report(name, {"samples": samples, "seed": seed}, records())
 
 
-def _lift_equivalence_experiment(
-    n: int, target_k: int, samples: int | None, seed: int
+def _lift_equivalence(
+    name: str, n: int, samples: int | None, seed: int, target_k: int
 ) -> ExperimentReport:
     if samples is None:
         instances = enumerate_instances(3, n, complete=False)
@@ -476,7 +464,7 @@ def _lift_equivalence_experiment(
     else:
         instances = (
             random_instance(
-                random.Random(f"{seed}:lift-3k-equivalence:{idx}").getrandbits(63),
+                random.Random(f"{seed}:{name}:{idx}").getrandbits(63),
                 3,
                 n,
                 density=random.Random(f"{seed}:lift-density:{idx}").choice(
@@ -486,122 +474,111 @@ def _lift_equivalence_experiment(
             for idx in range(samples)
         )
         mode = f"sample-{samples}"
-    results = []
-    failures = []
-    total = 0
-    for inst in instances:
-        total += 1
-        digest = instance_digest(inst)
-        stable_in = enumerate_weakly_stable(inst)
-        lifted, cmap = lift_3_to_k(inst, target_k)
-        stable_out = enumerate_weakly_stable(lifted)
-        problems = []
-        if (len(stable_in) >= 1) != (len(stable_out) >= 1):
-            problems.append("existence mismatch")
-        if len(stable_in) != len(stable_out):
-            problems.append("stable count mismatch")
-        for m in stable_in:
-            up = transport_matching(cmap, m, "up")
-            if transport_matching(cmap, up, "down") != m:
-                problems.append("transport round trip broken")
-                break
-        ok = not problems
-        results.append(
-            (
-                digest,
-                "ok" if ok else "fail",
+
+    def records() -> Iterator[Record]:
+        for inst in instances:
+            stable_in = enumerate_weakly_stable(inst)
+            lifted, cmap = lift_3_to_k(inst, target_k)
+            stable_out = enumerate_weakly_stable(lifted)
+            problems = []
+            if (len(stable_in) >= 1) != (len(stable_out) >= 1):
+                problems.append("existence mismatch")
+            if len(stable_in) != len(stable_out):
+                problems.append("stable count mismatch")
+            for m in stable_in:
+                up = transport_matching(cmap, m, "up")
+                if transport_matching(cmap, up, "down") != m:
+                    problems.append("transport round trip broken")
+                    break
+            yield (
+                instance_digest(inst),
                 f"in={len(stable_in)} out={len(stable_out)}",
+                "; ".join(problems) or None,
             )
-        )
-        if not ok:
-            failures.append(f"{digest} " + "; ".join(problems))
-    params = (
-        ("mode", mode),
-        ("n", str(n)),
-        ("seed", str(seed)),
-        ("target_k", str(target_k)),
-    )
-    summary = (("failures", str(len(failures))), ("total", str(total)))
-    return ExperimentReport(
-        "lift-3k-equivalence", params, tuple(results), summary, tuple(failures)
-    )
+
+    params = {"mode": mode, "n": n, "seed": seed, "target_k": target_k}
+    return _report(name, params, records())
 
 
 def _run_gadget_checkers(gm, m_hat, m_down) -> list[str]:
-    problems = []
-    rep = check_gadget_confinement(gm, m_hat)
-    problems.extend(rep.violations)
-    rep = check_partner_correspondence(gm, m_hat, m_down)
-    problems.extend(rep.violations)
-    src = gm.source
-    for alpha in src.agents():
-        rep = check_admirer_bound(gm, m_hat, alpha, alpha.t)
-        problems.extend(rep.violations)
-    return problems
+    reports = [
+        check_gadget_confinement(gm, m_hat),
+        check_partner_correspondence(gm, m_hat, m_down),
+    ]
+    reports += [check_admirer_bound(gm, m_hat, a, a.t) for a in gm.source.agents()]
+    return [v for rep in reports for v in rep.violations]
 
 
-def _completion_experiment(
+def _completion(
     name: str, samples: int, seed: int, want_stable: bool
 ) -> ExperimentReport:
-    results = []
-    failures = []
-    collected = 0
-    idx = 0
-    while collected < samples:
-        rng = random.Random(f"{seed}:{name}:{idx}")
-        idx += 1
-        n = rng.randint(1, 3)
-        density = rng.choice((0.4, 0.7, 1.0))
-        inst = random_instance(rng.getrandbits(63), 3, n, density)
-        if want_stable:
-            stable = enumerate_weakly_stable(inst, limit=1)
-            if not stable:
-                continue
-            m = stable[0]
-            blocker = None
-        else:
-            m = random_matching(inst, rng.getrandbits(63))
-            blocker = find_blocking_naive(inst, m)
-            if blocker is None:
-                continue
-        collected += 1
-        digest = instance_digest(inst)
-        completed, gm = complete_instance(inst)
-        m_hat = induce_up(gm, m)
-        problems = []
-        if want_stable:
-            verdict = is_weakly_stable(completed, m_hat, method="cycle")
-            if not verdict.stable:
-                problems.append(
-                    f"induced matching blocked by {verdict.witness.members}"
+    def records() -> Iterator[Record]:
+        collected = 0
+        idx = 0
+        while collected < samples:
+            rng = random.Random(f"{seed}:{name}:{idx}")
+            idx += 1
+            n = rng.randint(1, 3)
+            density = rng.choice((0.4, 0.7, 1.0))
+            inst = random_instance(rng.getrandbits(63), 3, n, density)
+            if want_stable:
+                stable = enumerate_weakly_stable(inst, limit=1)
+                if not stable:
+                    continue
+                m = stable[0]
+                blocker = None
+            else:
+                m = random_matching(inst, rng.getrandbits(63))
+                blocker = find_blocking_naive(inst, m)
+                if blocker is None:
+                    continue
+            collected += 1
+            completed, gm = complete_instance(inst)
+            m_hat = induce_up(gm, m)
+            problems = []
+            if want_stable:
+                verdict = is_weakly_stable(completed, m_hat, method="cycle")
+                if not verdict.stable:
+                    problems.append(
+                        f"induced matching blocked by {verdict.witness.members}"
+                    )
+            else:
+                image = Family(
+                    tuple(
+                        gm.non_dummy(AgentRef(t, blocker.members[t])).i
+                        for t in range(3)
+                    )
                 )
-        else:
-            image = Family(
-                tuple(
-                    gm.non_dummy(AgentRef(t, blocker.members[t])).i for t in range(3)
-                )
-            )
-            if not is_strongly_blocking(completed, m_hat, image):
-                problems.append(
-                    f"image of blocker {blocker.members} fails to block upstairs"
-                )
-        m_down = induce_down(gm, m_hat)
-        if m_down != m:
-            problems.append("induce round trip broken")
-        problems.extend(_run_gadget_checkers(gm, m_hat, m_down))
-        ok = not problems
-        results.append(
-            (
-                digest,
-                "ok" if ok else "fail",
+                if not is_strongly_blocking(completed, m_hat, image):
+                    problems.append(
+                        f"image of blocker {blocker.members} fails to block upstairs"
+                    )
+            m_down = induce_down(gm, m_hat)
+            if m_down != m:
+                problems.append("induce round trip broken")
+            problems.extend(_run_gadget_checkers(gm, m_hat, m_down))
+            yield (
+                instance_digest(inst),
                 f"n={n} families={len(m)}",
+                "; ".join(problems) or None,
             )
-        )
-        if not ok:
-            failures.append(f"{digest} " + "; ".join(problems))
-    params = (("samples", str(samples)), ("seed", str(seed)))
-    summary = (("failures", str(len(failures))), ("total", str(len(results))))
-    return ExperimentReport(name, params, tuple(results), summary, tuple(failures))
+
+    return _report(name, {"samples": samples, "seed": seed}, records())
+
+
+# id -> (runner, defaults). The runner is called with the experiment id and
+# the run_experiment arguments named in its defaults, an argument passed as
+# None taking its default; arguments it does not name are ignored.
+EXPERIMENTS: dict[str, tuple[Callable[..., ExperimentReport], dict]] = {
+    "boros-bound": (_existence, dict(k=3, n=2, samples=None, seed=0, threads=1, full=False)),
+    "eriksson-bound": (_existence, dict(k=3, n=4, samples=10_000, seed=0, threads=1)),
+    "pp-two-matchings": (_pp, dict(samples=200, seed=0, threads=1)),
+    "verifier-equivalence": (_verifier_equivalence, dict(samples=1000, seed=0)),
+    "lift-3k-equivalence": (_lift_equivalence, dict(n=2, samples=None, seed=0, target_k=5)),
+    "complete-positive": (partial(_completion, want_stable=True), dict(samples=500, seed=0)),
+    "complete-negative": (partial(_completion, want_stable=False), dict(samples=500, seed=0)),
+}
+EXPERIMENT_IDS = tuple(EXPERIMENTS)
 
 
 def run_experiment(
@@ -616,50 +593,27 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run one scripted experiment and return its deterministic report.
 
-    ``full`` forces exhaustive instance coverage for the bound experiments
-    even past the auto-sampling threshold.
+    ``full`` forces exhaustive instance coverage for ``boros-bound`` even
+    past the auto-sampling threshold. Raises UnknownExperimentError for an
+    id outside ``EXPERIMENT_IDS``, DimensionError for k < 2 or n < 0 and
+    KdsmError for samples < 0 or threads < 1.
     """
-    if experiment == "boros-bound":
-        return _existence_experiment(
-            "boros-bound",
-            k or 3,
-            n if n is not None else 2,
-            samples,
-            seed,
-            threads,
-            force_exhaustive=full,
+    if experiment not in EXPERIMENTS:
+        raise UnknownExperimentError(
+            f"unknown experiment id {experiment!r}; known ids: "
+            + ", ".join(EXPERIMENT_IDS)
         )
-    if experiment == "eriksson-bound":
-        return _existence_experiment(
-            "eriksson-bound",
-            k or 3,
-            n if n is not None else 4,
-            samples if samples is not None else 10_000,
-            seed,
-            threads,
-        )
-    if experiment == "pp-two-matchings":
-        return _pp_experiment(samples if samples is not None else 200, seed, threads)
-    if experiment == "verifier-equivalence":
-        return _verifier_equivalence_experiment(
-            samples if samples is not None else 1000, seed, threads
-        )
-    if experiment == "lift-3k-equivalence":
-        return _lift_equivalence_experiment(
-            n if n is not None else 2, target_k, samples, seed
-        )
-    if experiment == "complete-positive":
-        return _completion_experiment(
-            "complete-positive",
-            samples if samples is not None else 500,
-            seed,
-            want_stable=True,
-        )
-    if experiment == "complete-negative":
-        return _completion_experiment(
-            "complete-negative",
-            samples if samples is not None else 500,
-            seed,
-            want_stable=False,
-        )
-    raise UnknownExperimentError(experiment)
+    if k is not None and k < 2:
+        raise DimensionError(f"k must be >= 2, got {k}")
+    if n is not None and n < 0:
+        raise DimensionError(f"n must be >= 0, got {n}")
+    if samples is not None and samples < 0:
+        raise KdsmError(f"samples must be >= 0, got {samples}")
+    if threads < 1:
+        raise KdsmError(f"threads must be >= 1, got {threads}")
+    runner, defaults = EXPERIMENTS[experiment]
+    given = dict(
+        k=k, n=n, samples=samples, seed=seed, target_k=target_k, threads=threads, full=full
+    )
+    args = {key: dflt if given[key] is None else given[key] for key, dflt in defaults.items()}
+    return runner(experiment, **args)

@@ -70,10 +70,6 @@ class CorrMap3K:
         i, j = divmod(a.i, self.n)
         return i, j, a.t
 
-    def is_non_dummy(self, a: AgentRef) -> bool:
-        i, j, t = self.from_output(a)
-        return i == j and t < 3
-
     def non_dummy(self, alpha: AgentRef) -> AgentRef:
         """The output agent representing input agent ``alpha`` (types 0..2)."""
         if not 0 <= alpha.t < 3:
@@ -139,20 +135,6 @@ class GadgetMap:
     def non_dummy(self, alpha: AgentRef) -> AgentRef:
         """Output agent (0, alpha, alpha.t) representing input agent alpha."""
         return self.to_output(0, alpha, alpha.t)
-
-    def is_non_dummy(self, a: AgentRef) -> bool:
-        j, alpha = self.from_output(a)
-        return j == 0 and alpha.t == a.t
-
-    def is_boundary(self, a: AgentRef) -> bool:
-        j, _ = self.from_output(a)
-        return j == self.boundary
-
-    def gadget_agents(self, alpha: AgentRef) -> Iterator[AgentRef]:
-        """All output agents of the gadget grown from input agent ``alpha``."""
-        for j in range(self.jsize):
-            for t in range(self.k):
-                yield self.to_output(j, alpha, t)
 
     def _require_source(self) -> Instance:
         if self.source is None:

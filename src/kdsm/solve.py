@@ -158,14 +158,14 @@ def _disjoint_subsets(
     yield from rec(0)
 
 
-def _scan_complete_k3(inst: Instance, count_all: bool, cap: int | None = None) -> int:
+def _scan_complete_k3(inst: Instance, limit: int | None = None) -> int:
     """Count weakly stable perfect matchings of a complete k=3 instance.
 
     Iterates all pairs of permutations (type-1 and type-2 assignments) and
     tests each with bitmask arithmetic: the matching is blocked iff some
     type-1 agent b has a preferred type-2 agent whose own preferred type-0
-    set meets the set of type-0 agents that prefer b. With ``count_all``
-    false the scan stops at the first stable matching.
+    set meets the set of type-0 agents that prefer b. The scan stops once
+    ``limit`` (a positive count, or None for all) stable matchings are found.
     """
     n = inst.n
     if n == 0:
@@ -203,7 +203,7 @@ def _scan_complete_k3(inst: Instance, count_all: bool, cap: int | None = None) -
                     break
             if not blocked:
                 count += 1
-                if not count_all or (cap is not None and count >= cap):
+                if count == limit:
                     return count
     return count
 
@@ -264,13 +264,26 @@ def count_matchings(
 
 
 def count_weakly_stable(
-    inst: Instance, max_families: int = MAX_CANDIDATE_FAMILIES
+    inst: Instance,
+    max_families: int = MAX_CANDIDATE_FAMILIES,
+    limit: int | None = None,
 ) -> int:
-    """Exact number of weakly stable matchings."""
+    """Number of weakly stable matchings, exact, or capped at ``limit``.
+
+    ``limit`` None counts them all; a positive ``limit`` stops at that many,
+    and ``limit <= 0`` returns 0. Complete k=3 instances go through the
+    permutation scan, which raises SpaceTooLargeError only for a full count:
+    a capped scan stops at its ``limit``-th hit, so it is not refused for
+    size. Every other instance goes through ``enumerate_weakly_stable``,
+    which checks its bounds either way.
+    """
+    if limit is not None and limit <= 0:
+        return 0
     if inst.is_complete and inst.n >= 1 and inst.k == 3:
-        _check_perfect_bound(inst, max_families)
-        return _scan_complete_k3(inst, count_all=True)
-    return len(enumerate_weakly_stable(inst, max_families=max_families))
+        if limit is None:
+            _check_perfect_bound(inst, max_families)
+        return _scan_complete_k3(inst, limit)
+    return len(enumerate_weakly_stable(inst, limit, max_families))
 
 
 def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOutcome:

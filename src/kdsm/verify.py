@@ -61,15 +61,25 @@ def partner_rows(inst: Instance, m: Matching) -> list[list[int]]:
     (t, i)'s partner, or -1 when the agent is unmatched.
 
     Raises InvalidFamilyError for a family whose member count is not k or
-    whose members fall outside [0, n).
+    whose members fall outside [0, n), for an agent in two families and for
+    a member that does not accept its successor.
     """
     k, n = inst.k, inst.n
+    better = inst._better  # slot -1 holds every listed entry
     rows = [[-1] * n for _ in range(k)]
     for f in m:
-        if len(f.members) != k or not all(0 <= i < n for i in f.members):
+        fm = f.members
+        if len(fm) != k or not all(0 <= i < n for i in fm):
             raise InvalidFamilyError("; ".join(family_violations(inst, f)))
-        for t in range(k):
-            rows[t][f.members[t]] = f.members[(t + 1) % k]
+        for t, i in enumerate(fm):
+            succ = fm[(t + 1) % k]
+            if rows[t][i] >= 0:
+                raise InvalidFamilyError(f"agent ({t}, {i}) appears in two families")
+            if not better[t][i][-1] >> succ & 1:
+                raise InvalidFamilyError(
+                    f"agent ({t}, {i}) does not accept ({(t + 1) % k}, {succ})"
+                )
+            rows[t][i] = succ
     return rows
 
 

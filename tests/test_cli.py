@@ -178,7 +178,21 @@ class TestExperimentCmd:
         assert "summary failures 0" in text and "summary total 64" in text
 
     def test_unknown_id_exit_two(self, capsys):
-        assert run(capsys, "experiment", "--id", "mystery")[0] == 2
+        code, _, err = run(capsys, "experiment", "--id", "mystery")
+        assert code == 2 and "known ids: boros-bound" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--id", "boros-bound", "--k", "1"),
+            ("--id", "boros-bound", "--k", "0"),
+            ("--id", "boros-bound", "--n", "-1"),
+            ("--id", "boros-bound", "--samples", "-3"),
+            ("--id", "eriksson-bound", "--samples", "5", "--threads", "0"),
+        ],
+    )
+    def test_bad_parameter_exit_two(self, capsys, flags):
+        assert run(capsys, "experiment", *flags)[0] == 2
 
     def test_deterministic_report_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

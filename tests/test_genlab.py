@@ -1,7 +1,9 @@
 import pytest
 
 from kdsm import (
+    DimensionError,
     Instance,
+    KdsmError,
     Matching,
     SpaceTooLargeError,
     certify_no_stable,
@@ -90,8 +92,23 @@ class TestSearchCounterexample:
 
 class TestExperiments:
     def test_unknown_id(self):
-        with pytest.raises(UnknownExperimentError):
+        with pytest.raises(UnknownExperimentError, match="known ids: boros-bound, "):
             run_experiment("nope")
+
+    @pytest.mark.parametrize(
+        "kw, error, match",
+        [
+            (dict(k=1), DimensionError, "k must be >= 2, got 1"),
+            (dict(k=0), DimensionError, "k must be >= 2, got 0"),
+            (dict(n=-1), DimensionError, "n must be >= 0, got -1"),
+            (dict(samples=-3), KdsmError, "samples"),
+            (dict(samples=5, threads=0), KdsmError, "threads"),
+        ],
+    )
+    def test_bad_parameters_raise(self, kw, error, match):
+        for experiment in ("boros-bound", "eriksson-bound"):
+            with pytest.raises(error, match=match):
+                run_experiment(experiment, **kw)
 
     def test_boros_n2_exhaustive(self):
         rep = run_experiment("boros-bound", n=2)
@@ -136,9 +153,10 @@ class TestExperiments:
         assert rep.ok
 
     def test_threads_match_sequential(self):
-        seq = run_experiment("eriksson-bound", samples=40, seed=9, threads=1)
-        par = run_experiment("eriksson-bound", samples=40, seed=9, threads=2)
-        assert serialize_report(seq) == serialize_report(par)
+        for experiment, samples in (("eriksson-bound", 40), ("pp-two-matchings", 4)):
+            seq = run_experiment(experiment, samples=samples, seed=9, threads=1)
+            par = run_experiment(experiment, samples=samples, seed=9, threads=2)
+            assert serialize_report(seq) == serialize_report(par)
 
     @pytest.mark.parametrize("kw", [dict(n=2), dict(k=6, n=2, full=True)])
     def test_threads_match_sequential_exhaustive(self, kw):

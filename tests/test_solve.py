@@ -97,6 +97,29 @@ class TestCount:
             inst = random_instance(rng.getrandbits(32), 3, rng.randint(1, 4), 1.0)
             assert count_weakly_stable(inst) >= 1
 
+    @pytest.mark.parametrize(
+        "k, n, density", [(3, 3, 1.0), (3, 4, 1.0), (3, 3, 0.6), (4, 2, 0.7)]
+    )
+    def test_limit_caps_the_count(self, k, n, density):
+        # complete k=3 goes through the scan, the rest through enumeration
+        rng = random.Random(12)
+        for _ in range(8):
+            inst = random_instance(rng.getrandbits(32), k, n, density)
+            full = count_weakly_stable(inst)
+            for limit in (1, 2, 5):
+                assert count_weakly_stable(inst, limit=limit) == min(limit, full)
+
+    def test_limit_zero_or_negative_is_zero(self, tiny_complete, no_stable_instance):
+        for inst in (tiny_complete, no_stable_instance):
+            assert count_weakly_stable(inst, limit=0) == 0
+            assert count_weakly_stable(inst, limit=-2) == 0
+
+    def test_capped_scan_skips_the_space_bound(self):
+        inst = random_instance(3, 3, 3, 1.0)
+        with pytest.raises(SpaceTooLargeError):
+            count_weakly_stable(inst, max_families=10)
+        assert count_weakly_stable(inst, max_families=10, limit=1) == 1
+
     def test_count_matchings_against_oracle(self):
         rng = random.Random(11)
         for _ in range(15):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from kdsm import (
     AgentRef,
     Family,
+    Instance,
     InvalidFamilyError,
     Matching,
     find_blocking_cycle,
@@ -92,6 +93,16 @@ class TestFindBlocking:
             find(inst, Matching.of([(0, 5, 0)]))  # member out of range
         with pytest.raises(InvalidFamilyError):
             find(inst, Matching.of([(0, 1)]))  # two members for k=3
+        with pytest.raises(InvalidFamilyError):
+            find(inst, Matching.of([(0, 0, 0), (0, 1, 1)]))  # agent (0, 0) twice
+        # agent (0, 0) lists only (1, b) and is matched to (1, 1 - b); in the
+        # second instance the family (0, 0, 0) is valid, so the matching alone
+        # makes is_strongly_blocking raise
+        rest = ((0, 1), (0, 1)), ((0, 1), (0, 1))
+        for b in (1, 0):
+            partial = Instance(3, 2, (((b,), (0, 1)), *rest))
+            with pytest.raises(InvalidFamilyError):
+                find(partial, Matching.of([(0, 1 - b, 1 - b)]))
 
 
 class TestIsWeaklyStable:
