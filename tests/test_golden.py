@@ -58,6 +58,15 @@ REPORT_SHA256 = {
 FIXTURE_FIND = ("EXHAUSTED-NONE", 21)
 COMPLETED_FIND = ("BUDGET-EXCEEDED", 20_000)
 SOLVER_SHA256 = "73f9763ddf18084c794fa42c63b74b03d3d19fe8051d1247312fdf920ad4aba4"
+# solver_lines with small PRUNE_WORK_CAP values, where the anchored-blocker
+# walk runs out of work mid-list; they pin its walk order and its work
+# accounting (from a cap of 32 on, every walk finishes and the hash is
+# SOLVER_SHA256)
+CAPPED_SOLVER_SHA256 = {
+    4: "0f2f92b93ddd70a419617bb82323f6f8492f7ff8ba3f8e3d6e9e7eba8162ade5",
+    8: "c1c280df4e402ebb3672919ef6756a2a1ae1d86ff144f6938a3893e80edd5f20",
+    16: "c12a89afde5a5ff73a3495f0f2bb353d343b7280747f0679c8c6beb6bf6003a6",
+}
 WITNESS_SHA256 = "e0f095ac26107a9f7db7f06e44520e27a93cc139521dfb179949faaa801341b7"
 ENUMERATION_SHA256 = "2224fb71d0a4297a621f15f05f2b43e5a1c4479dd77f9dadf25848a63eb2dd26"
 
@@ -146,6 +155,12 @@ def test_solver_fingerprint(no_stable_instance):
     statuses = {ln.split()[0] for ln in lines}
     assert {"FOUND", "EXHAUSTED-NONE"} <= statuses
     assert _sha(lines) == SOLVER_SHA256
+
+
+@pytest.mark.parametrize("cap", sorted(CAPPED_SOLVER_SHA256))
+def test_solver_fingerprint_with_small_work_cap(no_stable_instance, monkeypatch, cap):
+    monkeypatch.setattr("kdsm.solve.PRUNE_WORK_CAP", cap)
+    assert _sha(solver_lines(no_stable_instance)) == CAPPED_SOLVER_SHA256[cap]
 
 
 def test_witness_fingerprint():
