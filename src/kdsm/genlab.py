@@ -84,11 +84,12 @@ def _random_list(rng: random.Random, n: int, density: float) -> tuple[int, ...]:
 def random_instance(seed: int, k: int, n: int, density: float = 1.0) -> Instance:
     """A seeded random instance; each list is a random permutation of a
     random subset holding each candidate independently with probability
-    ``density`` (so density 1 yields a complete instance)."""
+    ``density`` (so density 1 yields a complete instance). Raises
+    DimensionError for k < 2 or n < 0, KdsmError for a density outside [0, 1]."""
     if k < 2 or n < 0:
-        raise ValueError(f"invalid dimensions k={k}, n={n}")
+        raise DimensionError(f"invalid dimensions k={k}, n={n}")
     if not 0.0 <= density <= 1.0:
-        raise ValueError(f"density must be in [0, 1], got {density}")
+        raise KdsmError(f"density must be in [0, 1], got {density}")
     rng = random.Random(seed)
     prefs = tuple(
         tuple(_random_list(rng, n, density) for _i in range(n)) for _t in range(k)

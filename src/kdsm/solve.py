@@ -8,15 +8,20 @@ agent unmatched (one unmatched agent per type would form a strongly
 blocking family).
 
 The budgeted solver is a backtracking search over per-type-0-agent
-decisions (join a family or stay unmatched). A branch is abandoned as soon
-as some family is strongly blocking with all k members' assignments
-finalized; such a family can never be repaired deeper in the branch, and
-the search backjumps to the shallowest level that could disturb it.
+decisions (join a family or stay unmatched). A decision is abandoned as
+soon as a family through one of its agents is strongly blocking with all
+k members' assignments finalized; such a family can never be repaired
+deeper in the branch. A blocked complete candidate backjumps to the
+deepest level that finalized a member of its blocking family.
 
 Every search holds its current matching in the partner-row form of
 :mod:`kdsm.verify` (``rows[t][i]`` is the partner index of agent (t, i),
 -1 when unmatched), reads the instance's one "better than" bitmask table
 and tests complete candidates with the naive verifier's first-blocker scan.
+The perfect-matching enumerator and the budgeted solver also keep a free
+mask per type, the bitmask of its unmatched agents, updated on every
+commit and undo; their one family walker, ``_open_families``, draws each
+member from its predecessor's acceptable mask intersected with it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, permutations
+from itertools import chain, islice, permutations
 from typing import Iterator
 
 from .core import Instance, Matching, SpaceTooLargeError
@@ -97,13 +102,15 @@ def _check_perfect_bound(inst: Instance, max_families: int) -> None:
 
 
 def _open_families(
-    inst: Instance, rows: list[list[int]], d: int
+    inst: Instance, free: list[int], d: int
 ) -> Iterator[tuple[int, ...]]:
-    """Families through type-0 agent ``d`` whose other members are unmatched
-    in ``rows``, lexicographic.
+    """Families through type-0 agent ``d`` whose other members are unmatched,
+    lexicographic.
 
-    ``rows`` is read lazily: callers may change it while the generator is
-    suspended if they restore it before resuming.
+    ``free[t]`` is the bitmask of the unmatched agents of type t; each
+    member's candidates are its acceptable mask intersected with it. A
+    level reads ``free`` when it starts, so callers may change it while the
+    generator is suspended if they restore it before resuming.
     """
     k = inst.k
     better = inst._better
@@ -112,9 +119,7 @@ def _open_families(
 
     def extend(t: int) -> Iterator[tuple[int, ...]]:
         last = t == k - 1
-        for j in iter_bits(better[t - 1][members[t - 1]][-1]):
-            if rows[t][j] >= 0:
-                continue
+        for j in iter_bits(better[t - 1][members[t - 1]][-1] & free[t]):
             members[t] = j
             if not last:
                 yield from extend(t + 1)
@@ -212,6 +217,7 @@ def _enumerate_perfect(inst: Instance) -> Iterator[Matching]:
     """Weakly stable perfect matchings in canonical order (complete instances)."""
     k, n = inst.k, inst.n
     rows = [[-1] * n for _ in range(k)]
+    free = [(1 << n) - 1] * k
     chosen: list[tuple[int, ...]] = []
 
     def assign(i0: int) -> Iterator[Matching]:
@@ -219,10 +225,14 @@ def _enumerate_perfect(inst: Instance) -> Iterator[Matching]:
             if first_blocker(inst, rows) is None:
                 yield Matching.of(chosen)
             return
-        for fam in _open_families(inst, rows, i0):
+        for fam in _open_families(inst, free, i0):
             chosen.append(fam)
             _set_family(rows, fam, True)
+            for t in range(k):
+                free[t] ^= 1 << fam[t]
             yield from assign(i0 + 1)
+            for t in range(k):
+                free[t] ^= 1 << fam[t]
             _set_family(rows, fam, False)
             chosen.pop()
 
@@ -299,10 +309,12 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
     budget = budget or Budget()
     k, n = inst.k, inst.n
     prefs = inst.prefs
+    # the node budget and the deadline, infinite when unset; the deadline is
+    # read every 1,024th node
+    max_nodes = math.inf if budget.max_nodes is None else budget.max_nodes
     deadline = (
-        t_start + budget.max_seconds if budget.max_seconds is not None else None
+        math.inf if budget.max_seconds is None else t_start + budget.max_seconds
     )
-    max_nodes = budget.max_nodes
 
     if n == 0:
         return SolveOutcome(
@@ -310,125 +322,103 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
         )
 
     rows = [[-1] * n for _ in range(k)]  # partner index or -1
-    level_of = [[-1] * n for _ in range(k)]  # decision level that matched the agent
+    free = [(1 << n) - 1] * k  # per type, the bitmask of unmatched agents
     decided = 0  # type-0 agents with a final decision
     chosen: list[tuple[int, ...] | None] = [None] * n
     nodes = 0
     out_of_budget = False
 
-    def finalized(t: int, i: int) -> bool:
-        return rows[t][i] >= 0 or (t == 0 and i < decided)
+    # the anchored-blocker walk's anchor index and work left
+    anchor = 0
+    work = 0
 
-    def blocker_level(f: tuple[int, ...]) -> int:
-        lvl = 0
-        for t in range(k):
-            i = f[t]
-            if rows[t][i] >= 0:
-                lvl = max(lvl, level_of[t][i])
-            elif t == 0:
-                lvl = max(lvl, i)
-            else:
-                lvl = max(lvl, n - 1)
-        return lvl
-
-    def anchored_blocker(t0: int, i0: int) -> tuple[int, ...] | None:
-        """A blocking family through (t0, i0) among finalized agents, capped."""
-        work = PRUNE_WORK_CAP
-        path = [0] * k
-
-        def walk(step: int, t: int, i: int) -> bool:
-            nonlocal work
-            path[t] = i
-            if step == k:
-                return i == i0 and t == t0
-            nt = (t + 1) % k
-            p = rows[t][i]
-            for j in prefs[t][i]:
-                if j == p:
-                    break
-                work -= 1
-                if work <= 0:
-                    return False
-                if step == k - 1:
-                    if j == i0:
-                        path[nt] = j
-                        # closing step lands on the anchor itself
-                        return walk(step + 1, nt, j)
-                    continue
-                if finalized(nt, j) and walk(step + 1, nt, j):
+    def walk(step: int, t: int, i: int) -> bool:
+        """Close a blocking family on the anchor from (t, i), its step-th member,
+        through finalized agents (matched, or of type 0 and decided). Every
+        list entry read before the partner costs one unit of work first."""
+        nonlocal work
+        nt = t + 1 if t + 1 < k else 0
+        p = rows[t][i]
+        closing = step == k - 1
+        row = rows[nt]
+        for j in prefs[t][i]:
+            if j == p:
+                break
+            work -= 1
+            if work <= 0:
+                return False
+            if closing:
+                if j == anchor:
                     return True
-            return False
+            elif (row[j] >= 0 or (nt == 0 and j < decided)) and walk(step + 1, nt, j):
+                return True
+        return False
 
-        if walk(0, t0, i0):
-            # path is indexed by type; the walk filled every type once
-            return tuple(path)
-        return None
+    def blocked(anchors: tuple[int, ...]) -> bool:
+        """Whether a blocking family through some (t, anchors[t]) closes among
+        finalized agents, each anchor's walk capped at PRUNE_WORK_CAP."""
+        nonlocal anchor, work
+        for t, anchor in enumerate(anchors):
+            work = PRUNE_WORK_CAP
+            if walk(0, t, anchor):
+                return True
+        return False
 
     class _Stop(Exception):
         pass
-
-    def spend_node() -> None:
-        nonlocal nodes, out_of_budget
-        nodes += 1
-        if max_nodes is not None and nodes >= max_nodes:
-            out_of_budget = True
-            raise _Stop
-        if deadline is not None and (nodes & 0x3FF) == 0:
-            if time.perf_counter() > deadline:
-                out_of_budget = True
-                raise _Stop
 
     found: list[Matching] = []
 
     def search(d: int) -> int | None:
         """Explore decisions for type-0 agent d; return a backjump level or None."""
-        nonlocal decided
+        nonlocal decided, nodes, out_of_budget
         if d == n:
             blk = first_blocker(inst, rows)
             if blk is None:
                 found.append(Matching.of([f for f in chosen if f is not None]))
                 raise _Stop
-            return blocker_level(blk)
+            # back to the deepest level that finalized a member: a type-0
+            # agent's own index, a matched agent's family's type-0 member;
+            # n - 1 while a member of another type is unmatched
+            lvl = blk[0]
+            for t in range(1, k):
+                x = blk[t]
+                if rows[t][x] < 0:
+                    return n - 1
+                for s in range(t, k):
+                    x = rows[s][x]
+                if x > lvl:
+                    lvl = x
+            return lvl
 
-        def commit(fam: tuple[int, ...]) -> int | None:
-            # returns a backjump level strictly below d, or None to continue
-            nonlocal decided
-            spend_node()
-            for t in range(k):
-                rows[t][fam[t]] = fam[(t + 1) % k]
-                level_of[t][fam[t]] = d
-            chosen[d] = fam
+        # the families through d in lexicographic order, then None: unmatched
+        for fam in chain(_open_families(inst, free, d), (None,)):
+            nodes += 1
+            if nodes >= max_nodes or (
+                not nodes & 0x3FF and time.perf_counter() > deadline
+            ):
+                out_of_budget = True
+                raise _Stop
             decided = d + 1
-            for t in range(k):
-                blk = anchored_blocker(t, fam[t])
-                if blk is not None:
-                    break
-            if blk is not None:
-                jump = blocker_level(blk)  # always <= d: members are finalized
-            else:
-                jump = search(d + 1)
+            if fam is not None:
+                for t in range(k):
+                    i = fam[t]
+                    rows[t][i] = fam[t + 1 if t + 1 < k else 0]
+                    free[t] ^= 1 << i
+                chosen[d] = fam
+            # a blocker through this decision holds an agent finalized at
+            # level d, so it never jumps back: the next decision follows
+            jump = None if blocked(fam or (d,)) else search(d + 1)
             decided = d
-            chosen[d] = None
-            for t in range(k):
-                rows[t][fam[t]] = -1
-                level_of[t][fam[t]] = -1
-            return jump if jump is not None and jump < d else None
-
-        for fam in _open_families(inst, rows, d):
-            jump = commit(fam)
-            if jump is not None:
+            if fam is not None:
+                chosen[d] = None
+                for t in range(k):
+                    i = fam[t]
+                    rows[t][i] = -1
+                    free[t] ^= 1 << i
+            if jump is not None and jump < d:
                 return jump
-
-        # the unmatched decision, tried last
-        spend_node()
-        decided = d + 1
-        blk = anchored_blocker(0, d)
-        if blk is not None:
-            jump = blocker_level(blk)
-        else:
-            jump = search(d + 1)
-        decided = d
-        return jump if jump is not None and jump < d else None
+        return None
 
     try:
         search(0)

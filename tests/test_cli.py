@@ -37,6 +37,19 @@ class TestGen:
         run(capsys, "gen", "--k", "3", "--n", "3", "--seed", "123", "--out", str(out2))
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--k", "1", "--n", "2"), "error: invalid dimensions k=1, n=2"),
+            (("--n", "-1"), "error: invalid dimensions k=3, n=-1"),
+            (("--density", "1.5"), "error: density must be in [0, 1], got 1.5"),
+        ],
+    )
+    def test_bad_parameter_exit_two(self, capsys, flags, message):
+        code, out, err = run(capsys, "gen", *flags)
+        assert code == 2 and out == ""
+        assert message in err.splitlines()
+
 
 @pytest.fixture
 def instance_file(tmp_path, capsys):
@@ -93,6 +106,18 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", str(DATA / "no_stable_3dsmi.kdsm"), "--mode", "find")
         assert code == 0
         assert out.splitlines()[0] == "EXHAUSTED-NONE"
+
+    def test_find_time_limit_zero(self, tmp_path, capsys):
+        from conftest import DATA
+
+        completed = tmp_path / "completed.kdsm"
+        code, _, _ = run(
+            capsys, "reduce", str(DATA / "no_stable_3dsmi.kdsm"), "--out", str(completed)
+        )
+        assert code == 0
+        code, out, _ = run(capsys, "solve", str(completed), "--mode", "find", "--time-limit", "0")
+        assert code == 0
+        assert out.splitlines() == ["BUDGET-EXCEEDED", "nodes 1024"]
 
     def test_space_bound_exit_three(self, tmp_path, capsys):
         big = tmp_path / "big.kdsm"

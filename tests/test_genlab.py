@@ -42,6 +42,19 @@ class TestRandomInstance:
             rep = validate_instance(random_instance(seed, 3, 4, 0.5))
             assert rep.ok
 
+    @pytest.mark.parametrize(
+        "k, n, density, error, match",
+        [
+            (1, 2, 1.0, DimensionError, "invalid dimensions k=1, n=2"),
+            (3, -1, 1.0, DimensionError, "invalid dimensions k=3, n=-1"),
+            (3, 2, 1.5, KdsmError, "density must be in"),
+            (3, 2, -0.1, KdsmError, "density must be in"),
+        ],
+    )
+    def test_bad_parameters_raise(self, k, n, density, error, match):
+        with pytest.raises(error, match=match):
+            random_instance(0, k, n, density)
+
     def test_random_matching_valid(self):
         for seed in range(30):
             inst = random_instance(seed, 3, 3, 0.7)

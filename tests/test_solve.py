@@ -148,6 +148,14 @@ class TestFind:
         assert out.status in (SolveStatus.BUDGET_EXCEEDED, SolveStatus.EXHAUSTED_NONE)
         assert out.status is not SolveStatus.FOUND
 
+    def test_time_budget_stops_at_the_first_deadline_check(self, no_stable_instance):
+        # the deadline is read every 1,024th node, so an expired one stops
+        # the search at exactly that node
+        comp, _ = complete_instance(no_stable_instance)
+        out = find_weakly_stable(comp, Budget(max_seconds=0.0))
+        assert (out.status, out.nodes_explored) == (SolveStatus.BUDGET_EXCEEDED, 1024)
+        assert out.matching is None
+
     def test_agrees_with_enumeration(self):
         rng = random.Random(13)
         for _ in range(40):
