@@ -406,8 +406,9 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
                     rows[t][i] = fam[t + 1 if t + 1 < k else 0]
                     free[t] ^= 1 << i
                 chosen[d] = fam
-            # a blocker through this decision holds an agent finalized at
-            # level d, so it never jumps back: the next decision follows
+            # a blocking family through an agent of this decision (its family,
+            # or d alone) holds an agent finalized at level d, so it never
+            # jumps back: the next decision follows
             jump = None if blocked(fam or (d,)) else search(d + 1)
             decided = d
             if fam is not None:
