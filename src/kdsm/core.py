@@ -34,7 +34,7 @@ class InvalidFamilyError(KdsmError):
 
 
 class InvalidInstanceError(KdsmError):
-    """A preference list holds an out-of-range or repeated entry."""
+    """Preference lists of the wrong shape, or with an out-of-range or repeated entry."""
 
 
 class DimensionError(KdsmError):
@@ -73,11 +73,11 @@ class Instance:
 
     def __post_init__(self) -> None:
         if self.k < 2:
-            raise ValueError(f"dimension k must be >= 2, got {self.k}")
+            raise DimensionError(f"dimension k must be >= 2, got {self.k}")
         if self.n < 0:
-            raise ValueError(f"identifier count n must be >= 0, got {self.n}")
+            raise DimensionError(f"identifier count n must be >= 0, got {self.n}")
         if len(self.prefs) != self.k or any(len(row) != self.n for row in self.prefs):
-            raise ValueError("prefs must hold exactly k rows of n lists each")
+            raise InvalidInstanceError("prefs must hold exactly k rows of n lists each")
 
     @staticmethod
     def build(k: int, prefs: Sequence[Sequence[Sequence[int]]]) -> "Instance":
@@ -87,7 +87,7 @@ class Instance:
         empty-list agents, so the result always has equal counts per type.
         """
         if len(prefs) != k:
-            raise ValueError(f"expected {k} preference rows, got {len(prefs)}")
+            raise InvalidInstanceError(f"expected {k} preference rows, got {len(prefs)}")
         n = max((len(row) for row in prefs), default=0)
         rows = []
         for row in prefs:

@@ -23,6 +23,7 @@ form is ``_count_record``.
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass
 from functools import partial
@@ -597,7 +598,9 @@ def run_experiment(
     ``full`` forces exhaustive instance coverage for ``boros-bound`` even
     past the auto-sampling threshold. Raises UnknownExperimentError for an
     id outside ``EXPERIMENT_IDS``, DimensionError for k < 2 or n < 0 and
-    KdsmError for samples < 0 or threads < 1.
+    KdsmError for samples < 0, threads < 1 or an argument that differs from
+    its default and that the experiment's ``EXPERIMENTS`` entry does not
+    name (such as ``k`` for ``pp-two-matchings``).
     """
     if experiment not in EXPERIMENTS:
         raise UnknownExperimentError(
@@ -616,5 +619,11 @@ def run_experiment(
     given = dict(
         k=k, n=n, samples=samples, seed=seed, target_k=target_k, threads=threads, full=full
     )
+    params = inspect.signature(run_experiment).parameters
+    ignored = [
+        key for key in given if key not in defaults and given[key] != params[key].default
+    ]
+    if ignored:
+        raise KdsmError(f"{experiment} does not take " + ", ".join(ignored))
     args = {key: dflt if given[key] is None else given[key] for key, dflt in defaults.items()}
     return runner(experiment, **args)

@@ -20,8 +20,9 @@ Every search holds its current matching in the partner-row form of
 and tests complete candidates with the naive verifier's first-blocker scan.
 The perfect-matching enumerator and the budgeted solver also keep a free
 mask per type, the bitmask of its unmatched agents, updated on every
-commit and undo; their one family walker, ``_open_families``, draws each
-member from its predecessor's acceptable mask intersected with it.
+commit and undo. Every family comes from ``verify.lex_families``; the
+open families of a decision are those over the acceptable masks restricted
+to the free masks and one type-0 start.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ from enum import Enum
 from itertools import chain, islice, permutations
 from typing import Iterator
 
-from .core import Instance, Matching, SpaceTooLargeError
+from .core import Instance, KdsmError, Matching, SpaceTooLargeError
 from .verify import (
     find_blocking_naive,
     first_blocker,
     improvement_masks,
-    iter_bits,
     lex_families,
 )
 
@@ -57,8 +57,16 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class Budget:
+    """Limits of ``find_weakly_stable``: None is unset, a negative one raises KdsmError."""
+
     max_nodes: int | None = None
     max_seconds: float | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("max_nodes", "max_seconds"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:  # NaN fails too
+                raise KdsmError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -71,15 +79,14 @@ class SolveOutcome:
 
 def _check_family_bound(inst: Instance, max_families: int) -> list[tuple[int, ...]]:
     """All valid families in lexicographic order, or SpaceTooLargeError."""
-    fams = []
-    for f in lex_families(improvement_masks(inst, [[-1] * inst.n] * inst.k)):
-        fams.append(f)
-        if len(fams) > max_families:
-            raise SpaceTooLargeError(
-                f"instance has more than {max_families} candidate families",
-                bound=max_families,
-                required=len(fams),
-            )
+    acc = improvement_masks(inst, [[-1] * inst.n] * inst.k)  # acceptable masks
+    fams = list(islice(lex_families(acc), max_families + 1))
+    if len(fams) > max_families:
+        raise SpaceTooLargeError(
+            f"instance has more than {max_families} candidate families",
+            bound=max_families,
+            required=len(fams),
+        )
     return fams
 
 
@@ -99,34 +106,6 @@ def _check_perfect_bound(inst: Instance, max_families: int) -> None:
             bound=MAX_PERFECT_MATCHINGS,
             required=space,
         )
-
-
-def _open_families(
-    inst: Instance, free: list[int], d: int
-) -> Iterator[tuple[int, ...]]:
-    """Families through type-0 agent ``d`` whose other members are unmatched,
-    lexicographic.
-
-    ``free[t]`` is the bitmask of the unmatched agents of type t; each
-    member's candidates are its acceptable mask intersected with it. A
-    level reads ``free`` when it starts, so callers may change it while the
-    generator is suspended if they restore it before resuming.
-    """
-    k = inst.k
-    better = inst._better
-    members = [0] * k
-    members[0] = d
-
-    def extend(t: int) -> Iterator[tuple[int, ...]]:
-        last = t == k - 1
-        for j in iter_bits(better[t - 1][members[t - 1]][-1] & free[t]):
-            members[t] = j
-            if not last:
-                yield from extend(t + 1)
-            elif better[k - 1][j][-1] >> d & 1:
-                yield tuple(members)
-
-    yield from extend(1)
 
 
 def _set_family(rows: list[list[int]], fam: tuple[int, ...], matched: bool) -> None:
@@ -216,6 +195,7 @@ def _scan_complete_k3(inst: Instance, limit: int | None = None) -> int:
 def _enumerate_perfect(inst: Instance) -> Iterator[Matching]:
     """Weakly stable perfect matchings in canonical order (complete instances)."""
     k, n = inst.k, inst.n
+    acc = improvement_masks(inst, [[-1] * n] * k)  # acceptable masks
     rows = [[-1] * n for _ in range(k)]
     free = [(1 << n) - 1] * k
     chosen: list[tuple[int, ...]] = []
@@ -225,7 +205,7 @@ def _enumerate_perfect(inst: Instance) -> Iterator[Matching]:
             if first_blocker(inst, rows) is None:
                 yield Matching.of(chosen)
             return
-        for fam in _open_families(inst, free, i0):
+        for fam in lex_families(acc, free, (i0,)):
             chosen.append(fam)
             _set_family(rows, fam, True)
             for t in range(k):
@@ -320,7 +300,12 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
         return SolveOutcome(
             SolveStatus.FOUND, Matching.of([]), 0, time.perf_counter() - t_start
         )
+    if max_nodes == 0:  # the first node would already exceed the budget
+        return SolveOutcome(
+            SolveStatus.BUDGET_EXCEEDED, None, 0, time.perf_counter() - t_start
+        )
 
+    acc = improvement_masks(inst, [[-1] * n] * k)  # acceptable masks
     rows = [[-1] * n for _ in range(k)]  # partner index or -1
     free = [(1 << n) - 1] * k  # per type, the bitmask of unmatched agents
     decided = 0  # type-0 agents with a final decision
@@ -392,7 +377,7 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
             return lvl
 
         # the families through d in lexicographic order, then None: unmatched
-        for fam in chain(_open_families(inst, free, d), (None,)):
+        for fam in chain(lex_families(acc, free, (d,)), (None,)):
             nodes += 1
             if nodes >= max_nodes or (
                 not nodes & 0x3FF and time.perf_counter() > deadline

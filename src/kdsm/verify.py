@@ -14,14 +14,16 @@ when no family strongly blocks it. Two independent deciders are provided:
 Both read a matching in its partner-row form (``rows[t][i]`` is the
 partner index of agent (t, i), -1 when unmatched) and the instance's one
 "better than" bitmask table, but each decides independently. Both must
-agree on the verdict; witnesses may differ. The same partner rows, table
-and lexicographic family walker serve the solvers in :mod:`kdsm.solve`.
+agree on the verdict; witnesses may differ. ``auto`` is the cycle method;
+the naive scan stays as the solvers' leaf test and the oracle of
+``verifier-equivalence``. The same partner rows, table and family walker
+``lex_families`` serve the solvers in :mod:`kdsm.solve`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .core import (
     Family,
@@ -30,10 +32,6 @@ from .core import (
     Matching,
     family_violations,
 )
-
-# naive scan is preferred while k * n^k stays below this; the cycle method
-# takes over beyond it (and can be forced either way)
-AUTO_THRESHOLD = 1e8
 
 Method = Literal["naive", "cycle", "auto"]
 
@@ -99,27 +97,39 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def lex_families(masks: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+def lex_families(
+    masks: Sequence[Sequence[int]],
+    free: Sequence[int] | None = None,
+    starts: Iterable[int] | None = None,
+) -> Iterator[tuple[int, ...]]:
     """Families f with bit f[(t + 1) % k] set in masks[t][f[t]] for all t, lexicographic.
 
     Over the masks of the all-unmatched rows these are the valid families
     (exactly those that block the empty matching); over the improvement
-    masks of a matching they are its strongly blocking families.
+    masks of a matching they are its strongly blocking families. f[0] runs
+    over ``starts`` and f[t] over ``masks[t - 1][f[t - 1]] & free[t]`` for
+    t >= 1; None restricts nothing. Each level reads ``free`` as it starts,
+    so callers may change it while suspended if they restore it first.
     """
-    k, n = len(masks), len(masks[0])
+    k = len(masks)
+    free = [-1] * k if free is None else free  # -1: every bit set
+    starts = range(len(masks[0])) if starts is None else starts
     closing = masks[k - 1]
     members = [0] * k
 
     def extend(t: int) -> Iterator[tuple[int, ...]]:
         last = t == k - 1
-        for j in iter_bits(masks[t - 1][members[t - 1]]):
-            members[t] = j
+        cand = masks[t - 1][members[t - 1]] & free[t]
+        while cand:  # the set bits in ascending order, inlined: this is the hot loop
+            low = cand & -cand
+            cand ^= low
+            j = members[t] = low.bit_length() - 1
             if not last:
                 yield from extend(t + 1)
             elif closing[j] >> members[0] & 1:
                 yield tuple(members)
 
-    for i0 in range(n):
+    for i0 in starts:
         members[0] = i0
         yield from extend(1)
 
@@ -176,18 +186,11 @@ def find_blocking_cycle(inst: Instance, m: Matching) -> Family | None:
     return None
 
 
-def is_weakly_stable(
-    inst: Instance,
-    m: Matching,
-    method: Method = "auto",
-    auto_threshold: float = AUTO_THRESHOLD,
-) -> StabilityVerdict:
-    """Decide weak stability; the verdict is identical for every method."""
-    if method == "auto":
-        method = "cycle" if inst.k * float(inst.n) ** inst.k > auto_threshold else "naive"
+def is_weakly_stable(inst: Instance, m: Matching, method: Method = "auto") -> StabilityVerdict:
+    """Decide weak stability; ``auto`` is ``cycle``, and every method gives the same verdict."""
     if method == "naive":
         witness = find_blocking_naive(inst, m)
-    elif method == "cycle":
+    elif method in ("cycle", "auto"):
         witness = find_blocking_cycle(inst, m)
     else:
         raise ValueError(f"unknown method {method!r}")

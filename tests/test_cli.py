@@ -119,6 +119,15 @@ class TestSolve:
         assert code == 0
         assert out.splitlines() == ["BUDGET-EXCEEDED", "nodes 1024"]
 
+    @pytest.mark.parametrize("flags", [("--budget", "-5"), ("--time-limit", "-1")])
+    def test_negative_budget_exit_two(self, capsys, flags):
+        from conftest import DATA
+
+        code, out, err = run(
+            capsys, "solve", str(DATA / "no_stable_3dsmi.kdsm"), "--mode", "find", *flags
+        )
+        assert code == 2 and out == "" and "must be >= 0" in err
+
     def test_space_bound_exit_three(self, tmp_path, capsys):
         big = tmp_path / "big.kdsm"
         assert run(capsys, "gen", "--k", "3", "--n", "60", "--seed", "1", "--out", str(big))[0] == 0
@@ -214,6 +223,9 @@ class TestExperimentCmd:
             ("--id", "boros-bound", "--n", "-1"),
             ("--id", "boros-bound", "--samples", "-3"),
             ("--id", "eriksson-bound", "--samples", "5", "--threads", "0"),
+            # flags the experiment does not take
+            ("--id", "pp-two-matchings", "--k", "4", "--n", "4", "--samples", "1"),
+            ("--id", "eriksson-bound", "--full"),
         ],
     )
     def test_bad_parameter_exit_two(self, capsys, flags):

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from kdsm import (
     AgentRef,
+    DimensionError,
     Family,
     Instance,
     InvalidInstanceError,
@@ -164,6 +165,22 @@ class TestValidation:
         for call in calls:
             with pytest.raises(InvalidInstanceError):
                 call()
+
+    @pytest.mark.parametrize(
+        "make, error",
+        [
+            (lambda: Instance(1, 1, (((0,),),)), DimensionError),
+            (lambda: Instance(3, -1, ((), (), ())), DimensionError),
+            (lambda: Instance(3, 1, (((0,),), ((0,),))), InvalidInstanceError),
+            (lambda: Instance(3, 2, (((0,),), ((0,),), ((0,),))), InvalidInstanceError),
+            (lambda: Instance.build(1, [[(0,)]]), DimensionError),
+            (lambda: Instance.build(3, [[(0,)], [(0,)]]), InvalidInstanceError),
+        ],
+        ids=["k1", "n-1", "two-rows", "short-row", "build-k1", "build-two-rows"],
+    )
+    def test_bad_shape_raises_kdsm_errors(self, make, error):
+        with pytest.raises(error):
+            make()
 
     def test_build_pads_unequal_types(self):
         inst = Instance.build(3, [[(0,), (1,)], [(0,)], []])

@@ -123,6 +123,19 @@ class TestExperiments:
             with pytest.raises(error, match=match):
                 run_experiment(experiment, **kw)
 
+    @pytest.mark.parametrize(
+        "experiment, kw, named",
+        [
+            ("pp-two-matchings", dict(k=4, n=4, samples=1), "k, n"),
+            ("eriksson-bound", dict(full=True), "full"),
+            ("verifier-equivalence", dict(samples=5, threads=2), "threads"),
+            ("complete-positive", dict(samples=5, target_k=4), "target_k"),
+        ],
+    )
+    def test_argument_the_entry_does_not_name_raises(self, experiment, kw, named):
+        with pytest.raises(KdsmError, match=f"{experiment} does not take {named}$"):
+            run_experiment(experiment, **kw)
+
     def test_boros_n2_exhaustive(self):
         rep = run_experiment("boros-bound", n=2)
         assert rep.ok

@@ -5,6 +5,7 @@ import pytest
 from kdsm import (
     Budget,
     Instance,
+    KdsmError,
     Matching,
     SolveStatus,
     SpaceTooLargeError,
@@ -155,6 +156,22 @@ class TestFind:
         out = find_weakly_stable(comp, Budget(max_seconds=0.0))
         assert (out.status, out.nodes_explored) == (SolveStatus.BUDGET_EXCEEDED, 1024)
         assert out.matching is None
+
+    def test_zero_node_budget_explores_nothing(self, no_stable_instance):
+        out = find_weakly_stable(no_stable_instance, Budget(max_nodes=0))
+        assert (out.status, out.nodes_explored) == (SolveStatus.BUDGET_EXCEEDED, 0)
+        assert out.matching is None
+        # a positive budget still stops at its last node
+        out = find_weakly_stable(no_stable_instance, Budget(max_nodes=1))
+        assert (out.status, out.nodes_explored) == (SolveStatus.BUDGET_EXCEEDED, 1)
+
+    @pytest.mark.parametrize(
+        "kw", [dict(max_nodes=-5), dict(max_nodes=-1), dict(max_seconds=-1.0),
+               dict(max_seconds=float("nan"))]
+    )
+    def test_negative_budget_raises(self, kw):
+        with pytest.raises(KdsmError, match="must be >= 0"):
+            Budget(**kw)
 
     def test_agrees_with_enumeration(self):
         rng = random.Random(13)

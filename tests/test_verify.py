@@ -18,6 +18,7 @@ from kdsm import (
     random_instance,
     random_matching,
 )
+from kdsm.verify import improvement_masks, lex_families, partner_rows
 from conftest import as_matching, oracle_blockers, oracle_is_stable
 
 
@@ -120,10 +121,19 @@ class TestIsWeaklyStable:
             auto = is_weakly_stable(rank0_first_instance, m).stable
             assert is_weakly_stable(rank0_first_instance, m, method=method).stable == auto
 
-    def test_auto_threshold_switches_method(self, tiny_complete):
-        # force the cycle decider through a tiny threshold; verdict unchanged
-        v = is_weakly_stable(tiny_complete, Matching.of([]), auto_threshold=0.0)
-        assert not v.stable
+    def test_auto_is_the_cycle_verifier(self):
+        rng = random.Random("auto-is-cycle")
+        blocked = 0
+        for _ in range(150):
+            k, n = rng.choice((3, 4, 5)), rng.randint(1, 5)
+            density = rng.choice((0.5, 1.0))
+            inst = random_instance(rng.getrandbits(32), k, n, density)
+            m = random_matching(inst, rng.getrandbits(32))
+            v = is_weakly_stable(inst, m, method="auto")
+            assert v.witness == find_blocking_cycle(inst, m)
+            assert v.stable == (v.witness is None)
+            blocked += v.witness is not None
+        assert 0 < blocked < 150  # both verdicts seen
 
 
 @given(st.integers(0, 10_000))
@@ -152,3 +162,30 @@ def test_stable_complete_matchings_are_perfect(seed):
     m = random_matching(inst, rng.getrandbits(32))
     if is_weakly_stable(inst, m).stable:
         assert len(m) == n  # every agent matched
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_restricted_walk_filters_the_unrestricted_one(seed):
+    # free and starts only restrict: the walk equals the unrestricted walk
+    # filtered by the start of member 0 and the free bits of members 1..k-1
+    rng = random.Random(seed)
+    k = rng.randint(2, 5)
+    n = rng.randint(0, 5)
+    inst = random_instance(rng.getrandbits(32), k, n, rng.choice((0.4, 0.7, 0.9)))
+    rows = partner_rows(inst, random_matching(inst, rng.getrandbits(32)))
+    masks = improvement_masks(inst, rows if rng.random() < 0.5 else [[-1] * n] * k)
+    free = [rng.getrandbits(n) for _ in range(k)]
+    starts = sorted(rng.sample(range(n), rng.randint(0, n)))
+    everything = list(lex_families(masks))
+    assert list(lex_families(masks, free, starts)) == [
+        f
+        for f in everything
+        if f[0] in starts and all(free[t] >> f[t] & 1 for t in range(1, k))
+    ]
+    assert list(lex_families(masks, free)) == [
+        f for f in everything if all(free[t] >> f[t] & 1 for t in range(1, k))
+    ]
+    assert list(lex_families(masks, starts=starts)) == [
+        f for f in everything if f[0] in starts
+    ]
