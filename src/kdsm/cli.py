@@ -2,10 +2,11 @@
 
 Subcommands: gen, reduce, verify, solve, induce, experiment. Every flag can
 also be set through an environment variable named ``KDSM_<FLAG>`` (dashes
-become underscores); explicit flags win. Each run echoes its resolved
-configuration on stderr. Exit codes are a stable contract: 0 success (or
-stable), 1 unstable (or experiment failures), 2 invalid input, 3 resource
-bound exceeded.
+become underscores); explicit flags win. ``experiment`` passes a value set
+only by a variable to the experiments whose entry names it. Each run
+echoes its resolved configuration on stderr. Exit codes are a stable
+contract: 0 success (or stable), 1 unstable (or experiment failures), 2
+invalid input, 3 resource bound exceeded.
 """
 
 from __future__ import annotations
@@ -54,6 +55,19 @@ def _add(parser: argparse.ArgumentParser, flag: str, cast, default, **kw):
     )
 
 
+class _Given(argparse.Action):
+    """Store a flag's value and record in ``given`` that the command line set it.
+
+    With ``nargs=0`` it is a switch: ``--<name>`` stores True, ``--no-<name>`` False.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self.nargs == 0:
+            values = not option_string.startswith("--no-")
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
+
+
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -73,7 +87,7 @@ def _echo_config(args: argparse.Namespace) -> None:
     pairs = " ".join(
         f"{key}={getattr(args, key)!r}"
         for key in sorted(vars(args))
-        if key != "handler"
+        if key not in ("handler", "given")
     )
     print(f"kdsm config: {pairs}", file=sys.stderr)
 
@@ -179,16 +193,12 @@ def cmd_induce(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    report = genlab.run_experiment(
-        args.id,
-        k=args.k,
-        n=args.n,
-        samples=args.samples,
-        seed=args.seed,
-        target_k=args.target_k,
-        threads=args.threads,
-        full=args.full,
-    )
+    # a value from a KDSM_* variable reaches only experiments whose entry
+    # names it; an explicit flag always reaches run_experiment, which
+    # rejects one the experiment does not take
+    _runner, named = genlab.EXPERIMENTS.get(args.id, (None, {}))
+    keys = set(named) | getattr(args, "given", frozenset())
+    report = genlab.run_experiment(args.id, **{key: getattr(args, key) for key in keys})
     _write(args.out, genlab.serialize_report(report))
     return EXIT_OK if report.ok else EXIT_UNSTABLE
 
@@ -241,15 +251,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a scripted experiment")
     _add(p, "id", str, None)
-    _add(p, "k", int, None)
-    _add(p, "n", int, None)
-    _add(p, "samples", int, None)
-    _add(p, "seed", int, 0)
-    _add(p, "target-k", int, 5)
-    _add(p, "threads", int, 1)
+    _add(p, "k", int, None, action=_Given)
+    _add(p, "n", int, None, action=_Given)
+    _add(p, "samples", int, None, action=_Given)
+    _add(p, "seed", int, 0, action=_Given)
+    _add(p, "target-k", int, 5, action=_Given)
+    _add(p, "threads", int, 1, action=_Given)
     p.add_argument(
         "--full",
-        action=argparse.BooleanOptionalAction,
+        "--no-full",
+        action=_Given,
+        nargs=0,
         default=_env_default("full", bool, False),
         help="force exhaustive coverage for the bound experiments",
     )

@@ -41,6 +41,10 @@ class DimensionError(KdsmError):
     """An instance has the wrong dimension for the requested operation."""
 
 
+class ArgumentError(KdsmError):
+    """An argument lies outside the values the call accepts."""
+
+
 class SpaceTooLargeError(KdsmError):
     """A search space exceeds the configured exhaustive bound."""
 
@@ -310,23 +314,28 @@ def serialize_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_instance(text: str) -> Instance:
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines or lines[0].split() != INSTANCE_HEADER.split():
-        raise FormatError(f"missing '{INSTANCE_HEADER}' header")
+def parse_dims(lines: Sequence[str], min_k: int) -> tuple[int, int]:
+    """Read the 'k <k>' and 'n <n>' header lines; k must be >= ``min_k`` and n >= 0."""
     try:
-        knames, kval = lines[1].split()
-        nnames, nval = lines[2].split()
-    except (IndexError, ValueError) as exc:
+        (kname, kval), (nname, nval) = (ln.split() for ln in lines)
+    except ValueError as exc:
         raise FormatError("expected 'k <k>' and 'n <n>' header lines") from exc
-    if knames != "k" or nnames != "n":
+    if kname != "k" or nname != "n":
         raise FormatError("expected 'k <k>' and 'n <n>' header lines")
     try:
         k, n = int(kval), int(nval)
     except ValueError as exc:
         raise FormatError("k and n must be integers") from exc
-    if k < 2 or n < 0:
+    if k < min_k or n < 0:
         raise FormatError(f"invalid dimensions k={k}, n={n}")
+    return k, n
+
+
+def parse_instance(text: str) -> Instance:
+    lines = [ln for ln in text.split("\n") if ln.strip()]
+    if not lines or lines[0].split() != INSTANCE_HEADER.split():
+        raise FormatError(f"missing '{INSTANCE_HEADER}' header")
+    k, n = parse_dims(lines[1:3], min_k=2)
     table: dict[tuple[int, int], tuple[int, ...]] = {}
     last: tuple[int, int] | None = None
     for ln in lines[3:]:

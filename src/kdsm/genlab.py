@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Iterator
 
 from .core import (
     AgentRef,
+    ArgumentError,
     DimensionError,
     Family,
     Instance,
@@ -227,12 +228,15 @@ def _shrink_counterexample(inst: Instance) -> Instance:
 
 
 def certify_no_stable(inst: Instance) -> Certificate:
-    """Exhaustively enumerate the matching space and certify zero stable matchings."""
+    """Exhaustively enumerate the matching space and certify zero stable matchings.
+
+    Raises ArgumentError when ``inst`` has a weakly stable matching.
+    """
     fams = _check_family_bound(inst, MAX_CANDIDATE_FAMILIES)
     total = count_matchings(inst)
     stable = len(enumerate_weakly_stable(inst))
     if stable != 0:
-        raise ValueError("instance has weakly stable matchings; nothing to certify")
+        raise ArgumentError("instance has weakly stable matchings; nothing to certify")
     return Certificate(
         digest=instance_digest(inst),
         families=len(fams),

@@ -20,6 +20,12 @@ with a map object that lets matchings be transported across the reduction:
 Matchings are moved down by reading off non-dummy families and up by an
 explicit row-shift construction; executable checkers verify the structural
 confinement facts the constructions rely on.
+
+Each map depends only on its kind, k and n, so a map file is exactly four
+lines: ``KDSM-MAP 1`` / ``kind lift|gadget`` / ``k <k>`` / ``n <n>``. For a
+lift, k is the output dimension and n the input's; for a gadget map both
+are the input's. :func:`parse_map` reads nothing else; files written before
+the header existed (one line per output agent) are rejected.
 """
 
 from __future__ import annotations
@@ -30,14 +36,19 @@ from typing import Iterator, Literal
 
 from .core import (
     AgentRef,
+    ArgumentError,
     DimensionError,
     Family,
     FormatError,
     Instance,
     KdsmError,
     Matching,
+    TypeMismatchError,
     family_violations,
+    parse_dims,
 )
+
+MAP_HEADER = "KDSM-MAP 1"
 
 
 class TransportFormError(KdsmError):
@@ -63,7 +74,7 @@ class CorrMap3K:
 
     def to_output(self, i: int, j: int, t: int) -> AgentRef:
         if not (0 <= i < self.n and 0 <= j < self.n and 0 <= t < self.k_out):
-            raise ValueError(f"coordinates ({i}, {j}, {t}) out of range")
+            raise ArgumentError(f"coordinates ({i}, {j}, {t}) out of range")
         return AgentRef(t, i * self.n + j)
 
     def from_output(self, a: AgentRef) -> tuple[int, int, int]:
@@ -73,16 +84,11 @@ class CorrMap3K:
     def non_dummy(self, alpha: AgentRef) -> AgentRef:
         """The output agent representing input agent ``alpha`` (types 0..2)."""
         if not 0 <= alpha.t < 3:
-            raise ValueError(f"input agent type {alpha.t} out of range")
+            raise ArgumentError(f"input agent type {alpha.t} out of range")
         return self.to_output(alpha.i, alpha.i, alpha.t)
 
     def serialize(self) -> str:
-        lines = []
-        for flat in range(self.n_out):
-            i, j = divmod(flat, self.n)
-            for t in range(self.k_out):
-                lines.append(f"{flat} {i} {j} {t}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        return _map_text("lift", self.k_out, self.n)
 
 
 @dataclass(frozen=True)
@@ -122,9 +128,9 @@ class GadgetMap:
 
     def to_output(self, j: int, alpha: AgentRef, t: int) -> AgentRef:
         if not (0 <= j < self.jsize and 0 <= t < self.k):
-            raise ValueError(f"coordinates (j={j}, t={t}) out of range")
+            raise ArgumentError(f"coordinates (j={j}, t={t}) out of range")
         if not (0 <= alpha.t < self.k and 0 <= alpha.i < self.n):
-            raise ValueError(f"input agent {tuple(alpha)} out of range")
+            raise ArgumentError(f"input agent {tuple(alpha)} out of range")
         return AgentRef(t, j * (self.k * self.n) + alpha.t * self.n + alpha.i)
 
     def from_output(self, a: AgentRef) -> tuple[int, AgentRef]:
@@ -164,55 +170,29 @@ class GadgetMap:
         )
 
     def serialize(self) -> str:
-        lines = []
-        kn = self.k * self.n
-        for flat in range(self.n_out):
-            j, rem = divmod(flat, kn)
-            ta, ia = divmod(rem, self.n)
-            for t in range(self.k):
-                lines.append(f"{flat} {j} {ta} {ia} {t}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        return _map_text("gadget", self.k, self.n)
+
+
+def _map_text(kind: str, k: int, n: int) -> str:
+    return f"{MAP_HEADER}\nkind {kind}\nk {k}\nn {n}\n"
 
 
 def parse_map(text: str) -> CorrMap3K | GadgetMap:
-    """Parse a map file; the line arity distinguishes the two kinds."""
-    rows = []
-    arity = None
-    for ln in text.split("\n"):
-        if not ln.strip():
-            continue
-        tokens = ln.split()
-        if arity is None:
-            arity = len(tokens)
-        if len(tokens) != arity or arity not in (4, 5):
-            raise FormatError(f"malformed map line: {ln!r}")
-        try:
-            rows.append(tuple(int(x) for x in tokens))
-        except ValueError as exc:
-            raise FormatError(f"non-integer token in map line: {ln!r}") from exc
-    if not rows:
-        raise FormatError("empty map file")
-    if arity == 4:
-        n = max(r[1] for r in rows) + 1
-        k_out = max(r[3] for r in rows) + 1
-        cmap = CorrMap3K(n, k_out)
-        if len(rows) != cmap.n_out * k_out:
-            raise FormatError("map file does not cover the full agent set")
-        for flat, i, j, _t in rows:
-            if flat != i * n + j:
-                raise FormatError(f"inconsistent flat identifier in line {flat} {i} {j}")
-        return cmap
-    k = max(r[4] for r in rows) + 1
-    n = max(r[3] for r in rows) + 1
-    gmap = GadgetMap(k, n)
-    if len(rows) != gmap.n_out * k:
-        raise FormatError("map file does not cover the full agent set")
-    for flat, j, ta, ia, _t in rows:
-        if flat != j * (k * n) + ta * n + ia:
-            raise FormatError(
-                f"inconsistent flat identifier in line {flat} {j} {ta} {ia}"
-            )
-    return gmap
+    """Parse the four-line map file written by ``serialize``."""
+    lines = [ln for ln in text.split("\n") if ln.strip()]
+    if not lines or lines[0].split() != MAP_HEADER.split():
+        raise FormatError(
+            f"malformed map file: missing '{MAP_HEADER}' header; re-run kdsm reduce"
+        )
+    kind = lines[1].split() if len(lines) > 1 else []
+    if len(kind) != 2 or kind[0] != "kind":
+        raise FormatError("malformed map file: expected a 'kind lift|gadget' line")
+    if kind[1] not in ("lift", "gadget"):
+        raise FormatError(f"unknown map kind {kind[1]!r}")
+    k, n = parse_dims(lines[2:4], min_k=4 if kind[1] == "lift" else 3)
+    if len(lines) > 4:
+        raise FormatError(f"malformed map file: unexpected line {lines[4]!r}")
+    return CorrMap3K(n, k) if kind[1] == "lift" else GadgetMap(k, n)
 
 
 def lift_3_to_k(inst: Instance, target_k: int) -> tuple[Instance, CorrMap3K]:
@@ -258,25 +238,26 @@ def lift_3_to_k(inst: Instance, target_k: int) -> tuple[Instance, CorrMap3K]:
 def transport_matching(
     cmap: CorrMap3K, m: Matching, direction: Literal["up", "down"]
 ) -> Matching:
-    """Move a matching across the 3-to-k lift; up then down is the identity."""
+    """Move a matching across the 3-to-k lift; up then down is the identity.
+
+    Raises TransportFormError for a family of the wrong length or with a
+    member outside the source side's [0, n), and ArgumentError for an
+    unknown direction.
+    """
     n, k = cmap.n, cmap.k_out
     if direction == "up":
+        _require_shape(m, 3, n)
         fams = []
         for f in m:
-            if len(f.members) != 3:
-                raise TransportFormError(f"expected 3-member families, got {f.members}")
             a, b, c = f.members
             fams.append(
                 Family((a * n + a, b * n + b, c * n + c) + (c * n + a,) * (k - 3))
             )
         return Matching.of(fams)
     if direction == "down":
+        _require_shape(m, k, cmap.n_out)
         fams = []
         for f in m:
-            if len(f.members) != k:
-                raise TransportFormError(
-                    f"expected {k}-member families, got {f.members}"
-                )
             coords = [divmod(x, n) for x in f.members]
             (a, a2), (b, b2), (c, c2) = coords[0], coords[1], coords[2]
             if a != a2 or b != b2 or c != c2:
@@ -289,7 +270,19 @@ def transport_matching(
                 )
             fams.append(Family((a, b, c)))
         return Matching.of(fams)
-    raise ValueError(f"unknown direction {direction!r}")
+    raise ArgumentError(f"unknown direction {direction!r}; expected 'up' or 'down'")
+
+
+def _require_shape(m: Matching, k: int, n: int) -> None:
+    """Raise TransportFormError unless ``m`` is k-member families over [0, n), agent-disjoint."""
+    for f in m:
+        if len(f.members) != k or not all(0 <= x < n for x in f.members):
+            raise TransportFormError(
+                f"expected {k}-member families over [0, {n}), got {f.members}"
+            )
+    for t in range(k):
+        if len({f.members[t] for f in m}) != len(m):
+            raise TransportFormError(f"an agent of type {t} is in two families")
 
 
 def complete_instance(
@@ -376,6 +369,7 @@ def induce_up(gm: GadgetMap, m: Matching) -> Matching:
     are zipped into families by rank.
     """
     k = gm.k
+    _require_shape(m, k, gm.n)
     fams: list[Family] = []
     for f in m:
         fams.append(
@@ -402,10 +396,9 @@ def induce_down(gm: GadgetMap, m_hat: Matching) -> Matching:
     owner never qualify because the owner has a single type.
     """
     src = gm._require_source()
+    _require_shape(m_hat, gm.k, gm.n_out)
     fams = []
     for f in m_hat:
-        if len(f.members) != gm.k:
-            raise TransportFormError(f"expected {gm.k}-member families, got {f.members}")
         decoded = [gm.from_output(AgentRef(t, f.members[t])) for t in range(gm.k)]
         if any(j != 0 for j, _ in decoded):
             continue
@@ -448,9 +441,7 @@ def check_admirer_bound(
     column at most j + k - 1.
     """
     if alpha_star.t != t_star:
-        raise ValueError(
-            f"agent {tuple(alpha_star)} is not of type {t_star}"
-        )
+        raise TypeMismatchError(f"agent {tuple(alpha_star)} is not of type {t_star}")
     k = gm.k
     nd = gm.non_dummy(alpha_star)
     p = m_hat.partner(nd)

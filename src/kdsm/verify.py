@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .core import (
+    ArgumentError,
     Family,
     Instance,
     InvalidFamilyError,
@@ -193,5 +194,5 @@ def is_weakly_stable(inst: Instance, m: Matching, method: Method = "auto") -> St
     elif method in ("cycle", "auto"):
         witness = find_blocking_cycle(inst, m)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise ArgumentError(f"unknown method {method!r}; expected 'naive', 'cycle' or 'auto'")
     return StabilityVerdict(witness is None, witness)

@@ -144,7 +144,7 @@ class TestReduceInduce:
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[1] == "k 3" and lines[2] == "n 30"
-        assert mp.read_text().splitlines()[0] == "0 0 0 0 0"
+        assert mp.read_text().splitlines()[0] == "KDSM-MAP 1"
 
     def test_3k_reduction_header(self, tmp_path, capsys, instance_file):
         out = tmp_path / "l.kdsm"
@@ -201,6 +201,40 @@ class TestReduceInduce:
                            "--matching", str(mfile))
         assert code == 2 and "malformed" in err
 
+    def test_out_of_range_family_without_instance_exit_two(self, tmp_path, capsys,
+                                                           instance_file):
+        mp = tmp_path / "big.map"
+        run(capsys, "reduce", str(instance_file), "--mode", "complete",
+            "--out", str(tmp_path / "big.kdsm"), "--map-out", str(mp))
+        mfile = tmp_path / "m.kdsm"
+        mfile.write_text("KDSM-MATCHING 1\nfamily 5 5 5\n")
+        code, out, err = run(capsys, "induce", "--direction", "up", "--map", str(mp),
+                             "--matching", str(mfile))
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].startswith("error: ")
+
+
+@pytest.mark.parametrize("mode", ["complete", "3k"])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_every_written_file_reads_back(tmp_path, capsys, n, mode):
+    inst, m = tmp_path / "inst.kdsm", tmp_path / "m.kdsm"
+    big, mp = tmp_path / "big.kdsm", tmp_path / "big.map"
+    up, down = tmp_path / "up.kdsm", tmp_path / "down.kdsm"
+    assert run(capsys, "gen", "--k", "3", "--n", str(n), "--seed", "7", "--out", str(inst))[0] == 0
+    code, out, _ = run(capsys, "solve", str(inst), "--mode", "enumerate", "--limit", "1")
+    assert code == 0
+    m.write_text(out)
+    assert run(capsys, "reduce", str(inst), "--mode", mode, "--out", str(big),
+               "--map-out", str(mp))[0] == 0
+    assert run(capsys, "induce", "--direction", "up", "--map", str(mp),
+               "--matching", str(m), "--instance", str(inst), "--out", str(up))[0] == 0
+    code, out, _ = run(capsys, "verify", str(big), str(up))
+    assert (code, out) == (0, "STABLE\n")
+    assert run(capsys, "induce", "--direction", "down", "--map", str(mp),
+               "--matching", str(up), "--instance", str(inst), "--out", str(down))[0] == 0
+    assert down.read_bytes() == m.read_bytes()
+    assert len(parse_matching(m.read_text())) == n
+
 
 class TestExperimentCmd:
     def test_boros_exit_zero(self, tmp_path, capsys):
@@ -230,6 +264,25 @@ class TestExperimentCmd:
     )
     def test_bad_parameter_exit_two(self, capsys, flags):
         assert run(capsys, "experiment", *flags)[0] == 2
+
+    @pytest.mark.parametrize("var, value", [("KDSM_FULL", "1"), ("KDSM_THREADS", "2")])
+    def test_environment_default_skips_experiments_without_it(self, capsys, monkeypatch,
+                                                              var, value):
+        argv = ("experiment", "--id", "verifier-equivalence", "--samples", "1")
+        plain = run(capsys, *argv)[:2]
+        monkeypatch.setenv(var, value)
+        assert run(capsys, *argv)[:2] == plain and plain[0] == 0
+
+    def test_environment_default_reaches_experiments_with_it(self, capsys, monkeypatch):
+        monkeypatch.setenv("KDSM_SAMPLES", "3")
+        code, out, _ = run(capsys, "experiment", "--id", "eriksson-bound")
+        assert code == 0 and "summary total 3" in out.splitlines()
+
+    def test_explicit_flag_rejected_with_environment_set(self, capsys, monkeypatch):
+        monkeypatch.setenv("KDSM_THREADS", "2")
+        code, _, err = run(capsys, "experiment", "--id", "verifier-equivalence",
+                           "--samples", "1", "--threads", "2")
+        assert code == 2 and "does not take threads" in err
 
     def test_deterministic_report_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

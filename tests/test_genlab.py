@@ -1,6 +1,7 @@
 import pytest
 
 from kdsm import (
+    ArgumentError,
     DimensionError,
     Instance,
     KdsmError,
@@ -99,7 +100,7 @@ class TestSearchCounterexample:
         assert cert.digest == instance_digest(no_stable_instance)
 
     def test_certify_rejects_stable_instance(self, tiny_complete):
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError):
             certify_no_stable(tiny_complete)
 
 

@@ -23,6 +23,7 @@ from kdsm import (
     find_blocking_cycle,
     find_blocking_naive,
     find_weakly_stable,
+    lift_3_to_k,
     random_instance,
     random_matching,
     run_experiment,
@@ -69,6 +70,10 @@ CAPPED_SOLVER_SHA256 = {
 }
 WITNESS_SHA256 = "e0f095ac26107a9f7db7f06e44520e27a93cc139521dfb179949faaa801341b7"
 ENUMERATION_SHA256 = "2224fb71d0a4297a621f15f05f2b43e5a1c4479dd77f9dadf25848a63eb2dd26"
+# map files of the lift of a k=3, n=2 instance to k=5 and of the completion
+# of a k=4, n=3 instance
+LIFT_MAP_BYTES = b"KDSM-MAP 1\nkind lift\nk 5\nn 2\n"
+GADGET_MAP_BYTES = b"KDSM-MAP 1\nkind gadget\nk 4\nn 3\n"
 
 
 def _sha(lines) -> str:
@@ -172,3 +177,10 @@ def test_witness_fingerprint():
 
 def test_enumeration_fingerprint():
     assert _sha(enumeration_lines()) == ENUMERATION_SHA256
+
+
+def test_map_bytes():
+    _, cmap = lift_3_to_k(random_instance(3, 3, 2, 0.8), 5)
+    assert cmap.serialize().encode("utf-8") == LIFT_MAP_BYTES
+    _, gm = complete_instance(random_instance(3, 4, 3, 0.8))
+    assert gm.serialize().encode("utf-8") == GADGET_MAP_BYTES

@@ -8,6 +8,7 @@ from kdsm import (
     Family,
     Instance,
     Matching,
+    TypeMismatchError,
     check_admirer_bound,
     check_gadget_confinement,
     check_partner_correspondence,
@@ -284,7 +285,7 @@ class TestCheckers:
     def test_admirer_type_mismatch_rejected(self):
         inst = random_instance(2, 3, 2, 1.0)
         _, gm = complete_instance(inst)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeMismatchError):
             check_admirer_bound(gm, Matching.of([]), AgentRef(0, 0), 1)
 
     def test_admirer_violation_on_rerouted_gadget(self):
