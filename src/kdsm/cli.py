@@ -19,15 +19,15 @@ from typing import Callable, Sequence
 from . import genlab, reductions, solve
 from .core import (
     FormatError,
+    InvalidFamilyError,
     KdsmError,
-    Matching,
     SpaceTooLargeError,
     parse_instance,
     parse_matching,
+    partner_rows,
     serialize_instance,
     serialize_matching,
     validate_instance,
-    validate_matching,
 )
 from .verify import is_weakly_stable
 
@@ -36,22 +36,44 @@ EXIT_UNSTABLE = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 
+SWITCH_WORDS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
 
-def _env_default(flag: str, cast: Callable, fallback):
+
+def _switch(raw: str) -> bool:
+    word = raw.strip().lower()
+    if word not in SWITCH_WORDS:
+        raise argparse.ArgumentTypeError(
+            f"invalid switch value {raw!r}; expected one of {', '.join(SWITCH_WORDS)}"
+        )
+    return SWITCH_WORDS[word]
+
+
+def _one_of(choices: Sequence[str]) -> Callable[[str], str]:
+    def check(raw: str) -> str:
+        if raw not in choices:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice {raw!r}; expected one of {', '.join(choices)}"
+            )
+        return raw
+
+    return check
+
+
+def _add(parser: argparse.ArgumentParser, flag: str, cast, default, *aliases, **kw):
+    """Add ``--<flag>``, defaulting to ``KDSM_<FLAG>`` when that is set.
+
+    A variable's value stays a string, which argparse converts with ``cast``
+    (and checks against ``choices``) for the subcommand that runs, exiting 2
+    on a value the flag itself would reject.
+    """
     raw = os.environ.get("KDSM_" + flag.upper().replace("-", "_"))
-    if raw is None:
-        return fallback
-    try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    except ValueError:
-        raise SystemExit(f"invalid value {raw!r} for KDSM_{flag.upper()}")
-
-
-def _add(parser: argparse.ArgumentParser, flag: str, cast, default, **kw):
+    if "choices" in kw:
+        cast = _one_of(kw["choices"])
     parser.add_argument(
-        f"--{flag}", type=cast, default=_env_default(flag, cast, default), **kw
+        f"--{flag}", *aliases, type=cast, default=default if raw is None else raw, **kw
     )
 
 
@@ -109,29 +131,24 @@ def cmd_gen(args) -> int:
 def cmd_reduce(args) -> int:
     inst = _load_instance(args.instance)
     if args.mode == "3k":
-        out, cmap = reductions.lift_3_to_k(inst, args.target_k)
-        map_payload = cmap.serialize()
-    elif args.mode == "complete":
-        out, gmap = reductions.complete_instance(inst, args.shuffle_seed)
-        map_payload = gmap.serialize()
+        out, rmap = reductions.lift_3_to_k(inst, args.target_k)
     else:
-        raise FormatError(f"unknown reduction mode {args.mode!r}")
+        out, rmap = reductions.complete_instance(inst, args.shuffle_seed)
     _write(args.out, serialize_instance(out))
     if args.map_out:
-        _write(args.map_out, map_payload)
+        _write(args.map_out, rmap.serialize())
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
     m = parse_matching(_read(args.matching))
-    report = validate_matching(inst, m)
-    if not report.ok:
-        print("INVALID", file=sys.stdout)
-        for v in report.violations:
-            print(f"violation {v}", file=sys.stderr)
+    try:
+        verdict = is_weakly_stable(inst, m, method=args.method)
+    except InvalidFamilyError as exc:
+        print("INVALID")
+        print(f"violation {exc}", file=sys.stderr)
         return EXIT_INVALID
-    verdict = is_weakly_stable(inst, m, method=args.method)
     if verdict.stable:
         print("STABLE")
         return EXIT_OK
@@ -152,21 +169,13 @@ def cmd_solve(args) -> int:
                 print()
             sys.stdout.write(serialize_matching(m))
         return EXIT_OK
-    if args.mode == "find":
-        budget = solve.Budget(max_nodes=args.budget, max_seconds=args.time_limit)
-        outcome = solve.find_weakly_stable(inst, budget)
-        print(outcome.status.value)
-        print(f"nodes {outcome.nodes_explored}")
-        if outcome.matching is not None:
-            sys.stdout.write(serialize_matching(outcome.matching))
-        return EXIT_OK
-    raise FormatError(f"unknown solve mode {args.mode!r}")
-
-
-def _matching_of_instance(inst, m: Matching, what: str) -> None:
-    report = validate_matching(inst, m)
-    if not report.ok:
-        raise FormatError(f"{what} does not fit the instance: " + "; ".join(report.violations))
+    budget = solve.Budget(max_nodes=args.budget, max_seconds=args.time_limit)
+    outcome = solve.find_weakly_stable(inst, budget)
+    print(outcome.status.value)
+    print(f"nodes {outcome.nodes_explored}")
+    if outcome.matching is not None:
+        sys.stdout.write(serialize_matching(outcome.matching))
+    return EXIT_OK
 
 
 def cmd_induce(args) -> int:
@@ -174,20 +183,19 @@ def cmd_induce(args) -> int:
         raise FormatError("induce requires --map and --matching")
     mapping = reductions.parse_map(_read(args.map))
     m = parse_matching(_read(args.matching))
+    inst = _load_instance(args.instance) if args.instance else None
+    if inst is not None:
+        mapping = mapping.with_source(inst)
+        if args.direction == "up":
+            partner_rows(inst, m)  # the matching going up must fit the input
+    elif args.direction == "down" and isinstance(mapping, reductions.GadgetMap):
+        raise FormatError("--instance (the original input) is required for down")
     if isinstance(mapping, reductions.CorrMap3K):
         out = reductions.transport_matching(mapping, m, args.direction)
+    elif args.direction == "up":
+        out = reductions.induce_up(mapping, m)
     else:
-        inst = _load_instance(args.instance) if args.instance else None
-        if args.direction == "down":
-            if inst is None:
-                raise FormatError("--instance (the original input) is required for down")
-            mapping = mapping.with_source(inst)
-            out = reductions.induce_down(mapping, m)
-        else:
-            if inst is not None:
-                mapping = mapping.with_source(inst)
-                _matching_of_instance(inst, m, "matching")
-            out = reductions.induce_up(mapping, m)
+        out = reductions.induce_down(mapping, m)
     _write(args.out, serialize_matching(out))
     return EXIT_OK
 
@@ -257,14 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "seed", int, 0, action=_Given)
     _add(p, "target-k", int, 5, action=_Given)
     _add(p, "threads", int, 1, action=_Given)
-    p.add_argument(
-        "--full",
-        "--no-full",
-        action=_Given,
-        nargs=0,
-        default=_env_default("full", bool, False),
-        help="force exhaustive coverage for the bound experiments",
-    )
+    _add(p, "full", _switch, False, "--no-full", action=_Given, nargs=0,
+         help="force exhaustive coverage for the bound experiments")
     _add(p, "out", str, None)
     p.set_defaults(handler=cmd_experiment)
 

@@ -6,7 +6,9 @@ picks one agent of every type such that each member is acceptable to its
 predecessor in the cycle; a matching is a set of agent-disjoint families.
 
 This module owns the immutable data types, preference semantics, validation
-diagnostics, and the canonical text formats for instances and matchings.
+diagnostics, and the canonical text formats for instances and matchings. Its
+:func:`matching_rows` is the one check that a matching fits; validation, the
+verifiers, the transports in :mod:`kdsm.reductions` and the CLI use it.
 """
 
 from __future__ import annotations
@@ -156,26 +158,6 @@ class Family:
         return AgentRef(t, self.members[t])
 
 
-def family_violations(inst: Instance, f: Family) -> list[str]:
-    """Diagnostics for why ``f`` is not a valid family of ``inst`` (empty if valid)."""
-    out: list[str] = []
-    if len(f.members) != inst.k:
-        out.append(f"family has {len(f.members)} members, expected {inst.k}")
-        return out
-    for t, i in enumerate(f.members):
-        if not 0 <= i < inst.n:
-            out.append(f"member index {i} of type {t} out of range [0, {inst.n})")
-    if out:
-        return out
-    for t in range(inst.k):
-        succ = f.members[inst.next_type(t)]
-        if inst.rank_of(f.agent(t), succ) is None:
-            out.append(
-                f"agent ({t}, {f.members[t]}) does not accept ({inst.next_type(t)}, {succ})"
-            )
-    return out
-
-
 @dataclass(frozen=True)
 class Matching:
     """An immutable set of agent-disjoint families with O(1) partner lookup.
@@ -270,6 +252,40 @@ def validate_instance(inst: Instance) -> ValidationReport:
     return ValidationReport(not violations, inst.is_complete, tuple(violations))
 
 
+def matching_rows(
+    m: Matching, k: int, n: int, better: list[list[list[int]]] | None = None
+) -> list[list[int]]:
+    """The partner-row form of ``m``: ``rows[t][i]`` is the index of agent
+    (t, i)'s partner, or -1 when the agent is unmatched.
+
+    This is the one check that a matching fits a k-type market with n
+    agents per type. Raises InvalidFamilyError for a family that is not k
+    members in [0, n) and for an agent in two families; given an instance's
+    ``better`` table, also for a member that does not accept its successor.
+    """
+    rows = [[-1] * n for _ in range(k)]
+    for f in m:
+        fm = f.members
+        if len(fm) != k or not all(0 <= i < n for i in fm):
+            raise InvalidFamilyError(f"family {fm} is not {k} members in [0, {n})")
+        for t, i in enumerate(fm):
+            succ = fm[(t + 1) % k]
+            if rows[t][i] >= 0:
+                raise InvalidFamilyError(f"agent ({t}, {i}) appears in two families")
+            # slot -1 of a better row holds every listed entry
+            if better is not None and not better[t][i][-1] >> succ & 1:
+                raise InvalidFamilyError(
+                    f"agent ({t}, {i}) does not accept ({(t + 1) % k}, {succ})"
+                )
+            rows[t][i] = succ
+    return rows
+
+
+def partner_rows(inst: Instance, m: Matching) -> list[list[int]]:
+    """:func:`matching_rows` of ``m`` checked against every list of ``inst``."""
+    return matching_rows(m, inst.k, inst.n, inst._better)
+
+
 @dataclass(frozen=True)
 class MatchingReport:
     ok: bool
@@ -277,19 +293,17 @@ class MatchingReport:
 
 
 def validate_matching(inst: Instance, m: Matching) -> MatchingReport:
-    """Check acceptability of every family and pairwise agent-disjointness."""
-    violations: list[str] = []
-    used: dict[AgentRef, Family] = {}
-    for f in m:
-        violations.extend(family_violations(inst, f))
-        if len(f.members) != inst.k:
-            continue
-        for t in range(inst.k):
-            a = f.agent(t)
-            if a in used and used[a] != f:
-                violations.append(f"agent ({a.t}, {a.i}) appears in two families")
-            used[a] = f
-    return MatchingReport(not violations, tuple(violations))
+    """The report form of :func:`partner_rows`: ok, or the first violation."""
+    try:
+        partner_rows(inst, m)
+    except InvalidFamilyError as exc:
+        return MatchingReport(False, (str(exc),))
+    return MatchingReport(True, ())
+
+
+def family_violations(inst: Instance, f: Family) -> list[str]:
+    """Why ``f`` is not a valid family of ``inst`` (empty if valid)."""
+    return list(validate_matching(inst, Matching.of([f])).violations)
 
 
 # Canonical text formats (line oriented, UTF-8, LF).

@@ -71,6 +71,12 @@ from .verify import (
 EXHAUSTIVE_INSTANCE_CAP = 200_000
 # per-instance result lines kept in a report before truncation
 RESULT_RECORD_CAP = 200_000
+# search_counterexample enumerates a size whose instance space fits under this
+# cap and otherwise runs _hill_climb: this many stable-count evaluations over
+# random lists of this density
+COUNTEREXAMPLE_EXHAUSTIVE_CAP = 20_000
+COUNTEREXAMPLE_EVALS_PER_N = 60_000
+HILL_CLIMB_DENSITY = 0.55
 
 
 class UnknownExperimentError(KdsmError):
@@ -166,16 +172,15 @@ class Certificate:
     note: str
 
 
-def _hill_climb(
-    n: int, seed_tag: str, evals: int, density: float = 0.55
-) -> tuple[Instance | None, int]:
+def _hill_climb(n: int, seed_tag: str) -> tuple[Instance | None, int]:
     """Randomized descent on the number of weakly stable matchings.
 
     Restarts from fresh random 3-type instances and keeps mutating single
     preference lists while the (capped) stable count does not increase.
-    Returns a no-stable instance if one is reached within the evaluation
-    budget, plus the number of evaluations spent.
+    Returns a no-stable instance if one is reached within
+    ``COUNTEREXAMPLE_EVALS_PER_N`` evaluations, plus the number spent.
     """
+    evals, density = COUNTEREXAMPLE_EVALS_PER_N, HILL_CLIMB_DENSITY
     spent = 0
     restart = 0
     while spent < evals:
@@ -247,32 +252,27 @@ def certify_no_stable(inst: Instance) -> Certificate:
 
 
 def search_counterexample(
-    max_n: int = 5,
-    seed: int = 0,
-    exhaustive_cap: int = 20_000,
-    evals_per_n: int = 60_000,
-    minimize: bool = True,
+    max_n: int = 5, seed: int = 0
 ) -> tuple[Instance, Certificate] | None:
     """Find a 3-type incomplete-lists instance with no weakly stable matching.
 
     Scans sizes in increasing order: sizes whose whole instance space fits
-    under ``exhaustive_cap`` are enumerated outright, larger sizes run a
-    seeded randomized descent with ``evals_per_n`` stable-count
-    evaluations. The first hit is greedily shrunk (optional) and certified
-    by full enumeration of its matching space.
+    under ``COUNTEREXAMPLE_EXHAUSTIVE_CAP`` are enumerated outright, larger
+    sizes run a seeded randomized descent (:func:`_hill_climb`). The first
+    hit is greedily shrunk and certified by full enumeration of its
+    matching space.
     """
     for n in range(1, max_n + 1):
         found: Instance | None = None
-        if count_instances(3, n, complete=False) <= exhaustive_cap:
+        if count_instances(3, n, complete=False) <= COUNTEREXAMPLE_EXHAUSTIVE_CAP:
             for inst in enumerate_instances(3, n, complete=False):
                 if count_weakly_stable(inst, limit=1) == 0:
                     found = inst
                     break
         else:
-            found, _spent = _hill_climb(n, f"{seed}:cx:{n}", evals_per_n)
+            found, _spent = _hill_climb(n, f"{seed}:cx:{n}")
         if found is not None:
-            if minimize:
-                found = _shrink_counterexample(found)
+            found = _shrink_counterexample(found)
             return found, certify_no_stable(found)
     return None
 

@@ -19,7 +19,8 @@ with a map object that lets matchings be transported across the reduction:
 
 Matchings are moved down by reading off non-dummy families and up by an
 explicit row-shift construction; executable checkers verify the structural
-confinement facts the constructions rely on.
+confinement facts the constructions rely on. Each transport checks its
+input with :func:`kdsm.core.matching_rows` and raises TransportFormError.
 
 Each map depends only on its kind, k and n, so a map file is exactly four
 lines: ``KDSM-MAP 1`` / ``kind lift|gadget`` / ``k <k>`` / ``n <n>``. For a
@@ -41,10 +42,12 @@ from .core import (
     Family,
     FormatError,
     Instance,
+    InvalidFamilyError,
     KdsmError,
     Matching,
     TypeMismatchError,
     family_violations,
+    matching_rows,
     parse_dims,
 )
 
@@ -86,6 +89,11 @@ class CorrMap3K:
         if not 0 <= alpha.t < 3:
             raise ArgumentError(f"input agent type {alpha.t} out of range")
         return self.to_output(alpha.i, alpha.i, alpha.t)
+
+    def with_source(self, inst: Instance) -> "CorrMap3K":
+        """This map, once ``inst`` is checked to be a source it lifts."""
+        _check_source(inst, 3, self.n)
+        return self
 
     def serialize(self) -> str:
         return _map_text("lift", self.k_out, self.n)
@@ -150,11 +158,7 @@ class GadgetMap:
         return self.source
 
     def with_source(self, inst: Instance) -> "GadgetMap":
-        if inst.k != self.k or inst.n != self.n:
-            raise DimensionError(
-                f"instance dims (k={inst.k}, n={inst.n}) do not match the map"
-                f" (k={self.k}, n={self.n})"
-            )
+        _check_source(inst, self.k, self.n)
         return GadgetMap(self.k, self.n, inst)
 
     def mapped_prefix(self, alpha: AgentRef) -> tuple[AgentRef, ...]:
@@ -171,6 +175,13 @@ class GadgetMap:
 
     def serialize(self) -> str:
         return _map_text("gadget", self.k, self.n)
+
+
+def _check_source(inst: Instance, k: int, n: int) -> None:
+    if (inst.k, inst.n) != (k, n):
+        raise DimensionError(
+            f"instance dims (k={inst.k}, n={inst.n}) do not match the map (k={k}, n={n})"
+        )
 
 
 def _map_text(kind: str, k: int, n: int) -> str:
@@ -275,14 +286,10 @@ def transport_matching(
 
 def _require_shape(m: Matching, k: int, n: int) -> None:
     """Raise TransportFormError unless ``m`` is k-member families over [0, n), agent-disjoint."""
-    for f in m:
-        if len(f.members) != k or not all(0 <= x < n for x in f.members):
-            raise TransportFormError(
-                f"expected {k}-member families over [0, {n}), got {f.members}"
-            )
-    for t in range(k):
-        if len({f.members[t] for f in m}) != len(m):
-            raise TransportFormError(f"an agent of type {t} is in two families")
+    try:
+        matching_rows(m, k, n)
+    except InvalidFamilyError as exc:
+        raise TransportFormError(str(exc)) from exc
 
 
 def complete_instance(

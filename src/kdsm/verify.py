@@ -13,7 +13,9 @@ when no family strongly blocks it. Two independent deciders are provided:
 
 Both read a matching in its partner-row form (``rows[t][i]`` is the
 partner index of agent (t, i), -1 when unmatched) and the instance's one
-"better than" bitmask table, but each decides independently. Both must
+"better than" bitmask table, but each decides independently. The rows come
+from :func:`kdsm.core.partner_rows`, the one check that a matching fits its
+instance, so both raise InvalidFamilyError on the same input. Both must
 agree on the verdict; witnesses may differ. ``auto`` is the cycle method;
 the naive scan stays as the solvers' leaf test and the oracle of
 ``verifier-equivalence``. The same partner rows, table and family walker
@@ -25,14 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .core import (
-    ArgumentError,
-    Family,
-    Instance,
-    InvalidFamilyError,
-    Matching,
-    family_violations,
-)
+from .core import ArgumentError, Family, Instance, Matching, partner_rows
 
 Method = Literal["naive", "cycle", "auto"]
 
@@ -45,41 +40,12 @@ class StabilityVerdict:
 
 def is_strongly_blocking(inst: Instance, m: Matching, f: Family) -> bool:
     """True iff every member of ``f`` prefers its successor to its partner."""
-    problems = family_violations(inst, f)
-    if problems:
-        raise InvalidFamilyError("; ".join(problems))
+    partner_rows(inst, Matching.of([f]))  # raises unless f is a valid family
     rows, fm = partner_rows(inst, m), f.members
     return all(
         inst._better[t][i][rows[t][i]] >> fm[(t + 1) % inst.k] & 1
         for t, i in enumerate(fm)
     )
-
-
-def partner_rows(inst: Instance, m: Matching) -> list[list[int]]:
-    """The partner-row form of ``m``: ``rows[t][i]`` is the index of agent
-    (t, i)'s partner, or -1 when the agent is unmatched.
-
-    Raises InvalidFamilyError for a family whose member count is not k or
-    whose members fall outside [0, n), for an agent in two families and for
-    a member that does not accept its successor.
-    """
-    k, n = inst.k, inst.n
-    better = inst._better  # slot -1 holds every listed entry
-    rows = [[-1] * n for _ in range(k)]
-    for f in m:
-        fm = f.members
-        if len(fm) != k or not all(0 <= i < n for i in fm):
-            raise InvalidFamilyError("; ".join(family_violations(inst, f)))
-        for t, i in enumerate(fm):
-            succ = fm[(t + 1) % k]
-            if rows[t][i] >= 0:
-                raise InvalidFamilyError(f"agent ({t}, {i}) appears in two families")
-            if not better[t][i][-1] >> succ & 1:
-                raise InvalidFamilyError(
-                    f"agent ({t}, {i}) does not accept ({(t + 1) % k}, {succ})"
-                )
-            rows[t][i] = succ
-    return rows
 
 
 def improvement_masks(inst: Instance, rows: list[list[int]]) -> list[list[int]]:

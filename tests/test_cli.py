@@ -1,7 +1,9 @@
+import argparse
+
 import pytest
 
 from kdsm import parse_instance, parse_matching
-from kdsm.cli import main
+from kdsm.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -291,3 +293,72 @@ class TestExperimentCmd:
                              "--samples", "25", "--seed", "2", "--out", str(path))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# (0, 0) accepts only (1, 1), so family 0 0 0 does not fit; 0 1 0 and 1 1 1
+# both fit but share agent (1, 1)
+PARTIAL = (
+    "KDSM 1\nk 3\nn 2\npref 0 0 : 1\npref 0 1 : 0 1\npref 1 0 : 0 1\n"
+    "pref 1 1 : 0 1\npref 2 0 : 0 1\npref 2 1 : 0 1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "families",
+    [("0 1",), ("0 1 2",), ("0 -1 0",), ("0 1 0", "1 1 1"), ("0 0 0",), ("0 0 0", "1 0 5")],
+    ids=["short", "out-of-range", "negative", "two-families", "unaccepted", "several"],
+)
+def test_verify_reports_one_violation(tmp_path, capsys, families):
+    inst, m = tmp_path / "s.kdsm", tmp_path / "f.kdsm"
+    inst.write_text(PARTIAL)
+    m.write_text("KDSM-MATCHING 1\n" + "".join(f"family {f}\n" for f in families))
+    code, out, err = run(capsys, "verify", str(inst), str(m))
+    assert (code, out) == (2, "INVALID\n")
+    config, *rest = err.splitlines()
+    assert config.startswith("kdsm config:")
+    assert len(rest) == 1 and rest[0].startswith("violation ")
+
+
+@pytest.mark.parametrize("mode", ["3k", "complete"])
+def test_induce_up_checks_the_matching_against_the_instance(tmp_path, capsys, mode):
+    inst, m = tmp_path / "s.kdsm", tmp_path / "f.kdsm"
+    big, mp, up = tmp_path / "big.kdsm", tmp_path / "big.map", tmp_path / "up.kdsm"
+    inst.write_text(PARTIAL)
+    m.write_text("KDSM-MATCHING 1\nfamily 0 0 0\n")
+    assert run(capsys, "reduce", str(inst), "--mode", mode, "--out", str(big),
+               "--map-out", str(mp))[0] == 0
+    code, out, err = run(capsys, "induce", "--direction", "up", "--map", str(mp),
+                         "--matching", str(m), "--instance", str(inst), "--out", str(up))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: agent (0, 0) does not accept (1, 0)"
+    assert not up.exists()
+
+
+def _env_cases():
+    """Per subcommand flag, a KDSM_* value that the flag's type or choices reject."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, parser in sub.choices.items():
+        positionals = ["x" for a in parser._actions if not a.option_strings]
+        for action in parser._actions:
+            if not action.option_strings or action.dest == "help":
+                continue
+            if action.choices is not None:
+                value = "bogus"
+            elif action.type in (int, float):
+                value = "abc"
+            elif action.nargs == 0:
+                value = "maybe"
+            else:
+                continue
+            yield pytest.param(command, positionals, "KDSM_" + action.dest.upper(), value,
+                               id=f"{command}-{action.dest}")
+
+
+@pytest.mark.parametrize("command, positionals, var, value", list(_env_cases()))
+def test_environment_value_a_flag_rejects_exits_two(capsys, monkeypatch, command,
+                                                    positionals, var, value):
+    monkeypatch.setenv(var, value)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *positionals])
+    assert exc.value.code == 2
+    assert f"kdsm {command}: error: argument --" in capsys.readouterr().err
