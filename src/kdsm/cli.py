@@ -196,6 +196,8 @@ def cmd_induce(args) -> int:
         out = reductions.induce_up(mapping, m)
     else:
         out = reductions.induce_down(mapping, m)
+    if inst is not None and args.direction == "down":
+        partner_rows(inst, out)  # the matching coming down must fit the input
     _write(args.out, serialize_matching(out))
     return EXIT_OK
 

@@ -6,9 +6,12 @@ picks one agent of every type such that each member is acceptable to its
 predecessor in the cycle; a matching is a set of agent-disjoint families.
 
 This module owns the immutable data types, preference semantics, validation
-diagnostics, and the canonical text formats for instances and matchings. Its
-:func:`matching_rows` is the one check that a matching fits; validation, the
-verifiers, the transports in :mod:`kdsm.reductions` and the CLI use it.
+diagnostics, and the canonical text formats for instances and matchings. It
+decides each input check in one place for every module: building
+``Instance._better`` checks the lists (:func:`validate_instance` is its
+report form), :func:`check_dims` the dimensions, :func:`check_space` an
+exhaustive space against its fixed bound, and :func:`matching_rows` whether
+a matching fits.
 """
 
 from __future__ import annotations
@@ -48,12 +51,26 @@ class ArgumentError(KdsmError):
 
 
 class SpaceTooLargeError(KdsmError):
-    """A search space exceeds the configured exhaustive bound."""
+    """A search space exceeds its fixed exhaustive bound."""
 
     def __init__(self, message: str, bound: int, required: int):
         super().__init__(message)
         self.bound = bound
         self.required = required
+
+
+def check_dims(k: int, n: int) -> None:
+    """Raise DimensionError unless k >= 2 types and n >= 0 agents per type."""
+    if k < 2 or n < 0:
+        raise DimensionError(f"invalid dimensions k={k}, n={n}")
+
+
+def check_space(what: str, required: int, bound: int) -> None:
+    """Raise SpaceTooLargeError saying "<required> <what> exceed the bound <bound>"."""
+    if required > bound:
+        raise SpaceTooLargeError(
+            f"{required} {what} exceed the bound {bound}", bound=bound, required=required
+        )
 
 
 class AgentRef(NamedTuple):
@@ -78,10 +95,7 @@ class Instance:
     prefs: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise DimensionError(f"dimension k must be >= 2, got {self.k}")
-        if self.n < 0:
-            raise DimensionError(f"identifier count n must be >= 0, got {self.n}")
+        check_dims(self.k, self.n)
         if len(self.prefs) != self.k or any(len(row) != self.n for row in self.prefs):
             raise InvalidInstanceError("prefs must hold exactly k rows of n lists each")
 
@@ -92,8 +106,6 @@ class Instance:
         Types with fewer agents than the largest type are padded with
         empty-list agents, so the result always has equal counts per type.
         """
-        if len(prefs) != k:
-            raise InvalidInstanceError(f"expected {k} preference rows, got {len(prefs)}")
         n = max((len(row) for row in prefs), default=0)
         rows = []
         for row in prefs:
@@ -114,7 +126,9 @@ class Instance:
     def _better(self) -> list[list[list[int]]]:
         # _better[t][i][x]: bitmask of the entries agent (t, i) strictly prefers
         # to x. Slot n (so also -1, "unmatched") and every unlisted x hold all
-        # listed entries: an unlisted partner is no better than none.
+        # listed entries: an unlisted partner is no better than none. Building
+        # it is the one list check: InvalidInstanceError names the first entry,
+        # in (t, i) order, outside [0, n) or repeated.
         n = self.n
         full = (1 << n) - 1
         bit = [1 << x for x in range(n)]
@@ -126,7 +140,12 @@ class Instance:
                 acc = 0
                 for x in lst:
                     if not 0 <= x < n or acc & bit[x]:
-                        raise InvalidInstanceError("; ".join(validate_instance(self).violations))
+                        # (t, i) counts the rows and lists built so far
+                        where = f"pref ({len(table)}, {len(masks_row)})"
+                        raise InvalidInstanceError(
+                            f"{where}: duplicate entry {x}" if 0 <= x < n
+                            else f"{where}: entry {x} out of range [0, {n})"
+                        )
                     masks[x] = acc
                     acc |= bit[x]
                 if acc != full:
@@ -237,19 +256,13 @@ class ValidationReport:
 
 
 def validate_instance(inst: Instance) -> ValidationReport:
-    """Diagnose duplicate and out-of-range preference entries."""
-    violations: list[str] = []
-    for t in range(inst.k):
-        for i in range(inst.n):
-            lst = inst.prefs[t][i]
-            seen = set()
-            for x in lst:
-                if not 0 <= x < inst.n:
-                    violations.append(f"pref ({t}, {i}): entry {x} out of range [0, {inst.n})")
-                if x in seen:
-                    violations.append(f"pref ({t}, {i}): duplicate entry {x}")
-                seen.add(x)
-    return ValidationReport(not violations, inst.is_complete, tuple(violations))
+    """The report form of ``Instance._better``: ok, or the first entry, in
+    (t, i) order, that lies outside [0, n) or repeats."""
+    try:
+        inst._better
+    except InvalidInstanceError as exc:
+        return ValidationReport(False, inst.is_complete, (str(exc),))
+    return ValidationReport(True, inst.is_complete, ())
 
 
 def matching_rows(

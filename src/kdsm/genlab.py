@@ -39,7 +39,8 @@ from .core import (
     Instance,
     KdsmError,
     Matching,
-    SpaceTooLargeError,
+    check_dims,
+    check_space,
     instance_digest,
     serialize_matching,
 )
@@ -54,7 +55,6 @@ from .reductions import (
     transport_matching,
 )
 from .solve import (
-    MAX_CANDIDATE_FAMILIES,
     _check_family_bound,
     count_matchings,
     count_weakly_stable,
@@ -67,6 +67,8 @@ from .verify import (
     is_weakly_stable,
 )
 
+# enumerate_instances refuses a space of more than this many instances
+MAX_INSTANCES = 10**8
 # exhaustive experiment stages switch to sampling above this many instances
 EXHAUSTIVE_INSTANCE_CAP = 200_000
 # per-instance result lines kept in a report before truncation
@@ -94,8 +96,7 @@ def random_instance(seed: int, k: int, n: int, density: float = 1.0) -> Instance
     random subset holding each candidate independently with probability
     ``density`` (so density 1 yields a complete instance). Raises
     DimensionError for k < 2 or n < 0, KdsmError for a density outside [0, 1]."""
-    if k < 2 or n < 0:
-        raise DimensionError(f"invalid dimensions k={k}, n={n}")
+    check_dims(k, n)
     if not 0.0 <= density <= 1.0:
         raise KdsmError(f"density must be in [0, 1], got {density}")
     rng = random.Random(seed)
@@ -108,7 +109,7 @@ def random_instance(seed: int, k: int, n: int, density: float = 1.0) -> Instance
 def random_matching(inst: Instance, seed: int, keep: float = 0.7) -> Matching:
     """A seeded random valid matching: candidate families are shuffled and
     greedily kept with probability ``keep`` when agent-disjoint."""
-    fams = _check_family_bound(inst, MAX_CANDIDATE_FAMILIES)
+    fams = _check_family_bound(inst)
     rng = random.Random(seed)
     rng.shuffle(fams)
     used: list[set[int]] = [set() for _ in range(inst.k)]
@@ -139,26 +140,23 @@ def list_options(n: int, complete: bool) -> list[tuple[int, ...]]:
 
 
 def count_instances(k: int, n: int, complete: bool) -> int:
+    """Number of instances of the given shape; DimensionError for k < 2 or n < 0."""
+    check_dims(k, n)
     return len(list_options(n, complete)) ** (k * n)
 
 
-def enumerate_instances(
-    k: int, n: int, complete: bool, max_instances: int = 10**8
-) -> Iterator[Instance]:
-    """Every instance exactly once, canonical order, agent (0, 0) varying slowest."""
+def enumerate_instances(k: int, n: int, complete: bool) -> Iterator[Instance]:
+    """Every instance exactly once, canonical order, agent (0, 0) varying slowest.
+
+    Raises DimensionError, or SpaceTooLargeError past ``MAX_INSTANCES``, at
+    the call, before any instance is built.
+    """
+    check_space("instances", count_instances(k, n, complete), MAX_INSTANCES)
     opts = list_options(n, complete)
-    total = len(opts) ** (k * n)
-    if total > max_instances:
-        raise SpaceTooLargeError(
-            f"{total} instances exceed the bound {max_instances}",
-            bound=max_instances,
-            required=total,
-        )
-    for combo in product(range(len(opts)), repeat=k * n):
-        prefs = tuple(
-            tuple(opts[combo[t * n + i]] for i in range(n)) for t in range(k)
-        )
-        yield Instance(k, n, prefs)
+    return (
+        Instance(k, n, tuple(tuple(opts[combo[t * n + i]] for i in range(n)) for t in range(k)))
+        for combo in product(range(len(opts)), repeat=k * n)
+    )
 
 
 @dataclass(frozen=True)
@@ -237,7 +235,7 @@ def certify_no_stable(inst: Instance) -> Certificate:
 
     Raises ArgumentError when ``inst`` has a weakly stable matching.
     """
-    fams = _check_family_bound(inst, MAX_CANDIDATE_FAMILIES)
+    fams = _check_family_bound(inst)
     total = count_matchings(inst)
     stable = len(enumerate_weakly_stable(inst))
     if stable != 0:

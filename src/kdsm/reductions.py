@@ -178,10 +178,12 @@ class GadgetMap:
 
 
 def _check_source(inst: Instance, k: int, n: int) -> None:
+    """DimensionError unless ``inst`` is k by n; InvalidInstanceError for a bad entry."""
     if (inst.k, inst.n) != (k, n):
         raise DimensionError(
             f"instance dims (k={inst.k}, n={inst.n}) do not match the map (k={k}, n={n})"
         )
+    inst._better  # the one list check
 
 
 def _map_text(kind: str, k: int, n: int) -> str:
@@ -215,7 +217,8 @@ def lift_3_to_k(inst: Instance, target_k: int) -> tuple[Instance, CorrMap3K]:
     agents (i, j', 3) for each acceptable (j', 0). Chain agents forward
     along (i, j, t) -> (i, j, t+1) and the last type closes onto the
     diagonal (j, j, 0); chains for unacceptable (j, 0) stay empty, as do
-    all off-diagonal agents of the first three types.
+    all off-diagonal agents of the first three types. Raises DimensionError
+    for a wrong k and InvalidInstanceError for a bad list entry.
     """
     if inst.k != 3:
         raise DimensionError(f"lift requires a 3-type input, got k={inst.k}")
@@ -223,7 +226,8 @@ def lift_3_to_k(inst: Instance, target_k: int) -> tuple[Instance, CorrMap3K]:
         raise DimensionError(f"target dimension must be >= 4, got {target_k}")
     n = inst.n
     cmap = CorrMap3K(n, target_k)
-    accept_of: list[set[int]] = [set(inst.prefs[2][i]) for i in range(n)]
+    # slot n of a better row: the entries agent (2, i) accepts
+    accept2 = [masks[n] for masks in inst._better[2]]
     rows = []
     for t in range(target_k):
         row = []
@@ -235,7 +239,7 @@ def lift_3_to_k(inst: Instance, target_k: int) -> tuple[Instance, CorrMap3K]:
                 row.append(tuple(i * n + b for b in inst.prefs[2][i]))
             elif t <= 2:
                 row.append(())
-            elif j in accept_of[i]:
+            elif accept2[i] >> j & 1:
                 if t <= target_k - 2:
                     row.append((i * n + j,))
                 else:
@@ -301,12 +305,13 @@ def complete_instance(
     fixed by the construction, and the free tails (agents the construction
     leaves unordered) default to increasing flat-identifier order. Passing
     a ``seed`` shuffles each tail with a per-agent generator, which only
-    reorders choices the construction never relies on.
+    reorders choices the construction never relies on. Raises DimensionError
+    for k < 3 and InvalidInstanceError for a bad list entry.
     """
     if inst.k < 3:
         raise DimensionError(f"completion requires k >= 3, got k={inst.k}")
     k, n = inst.k, inst.n
-    gm = GadgetMap(k, n, inst)
+    gm = GadgetMap(k, n).with_source(inst)
     kn = k * n
     nout = gm.n_out
     bnd = gm.boundary

@@ -1,7 +1,9 @@
 """Exhaustive and budgeted search for weakly stable matchings.
 
-Enumeration is exact and desk-scale: it refuses to run when the number of
-candidate families exceeds a configured bound. On complete instances the
+Enumeration is exact and desk-scale: it refuses to run, through
+``core.check_space``, when the number of candidate families exceeds
+``MAX_CANDIDATE_FAMILIES`` (or, on complete instances, the number of perfect
+matchings exceeds ``MAX_PERFECT_MATCHINGS``). On complete instances the
 enumeration restricts itself to perfect matchings, which is lossless
 because a weakly stable matching of a complete instance never leaves an
 agent unmatched (one unmatched agent per type would form a strongly
@@ -34,7 +36,7 @@ from enum import Enum
 from itertools import chain, islice, permutations
 from typing import Iterator
 
-from .core import Instance, KdsmError, Matching, SpaceTooLargeError
+from .core import Instance, KdsmError, Matching, check_space
 from .verify import (
     find_blocking_naive,
     first_blocker,
@@ -77,35 +79,22 @@ class SolveOutcome:
     elapsed: float
 
 
-def _check_family_bound(inst: Instance, max_families: int) -> list[tuple[int, ...]]:
+def _check_family_bound(inst: Instance) -> list[tuple[int, ...]]:
     """All valid families in lexicographic order, or SpaceTooLargeError."""
+    bound = MAX_CANDIDATE_FAMILIES
     acc = improvement_masks(inst, [[-1] * inst.n] * inst.k)  # acceptable masks
-    fams = list(islice(lex_families(acc), max_families + 1))
-    if len(fams) > max_families:
-        raise SpaceTooLargeError(
-            f"instance has more than {max_families} candidate families",
-            bound=max_families,
-            required=len(fams),
-        )
+    fams = list(islice(lex_families(acc), bound + 1))
+    # the walk stops at bound + 1, so that count is a lower bound
+    check_space("or more candidate families", len(fams), bound)
     return fams
 
 
-def _check_perfect_bound(inst: Instance, max_families: int) -> None:
+def _check_perfect_bound(inst: Instance) -> None:
     """Bound checks for the perfect-matching paths of complete instances."""
-    nfam = inst.n**inst.k
-    if nfam > max_families:
-        raise SpaceTooLargeError(
-            f"{nfam} candidate families exceed the bound {max_families}",
-            bound=max_families,
-            required=nfam,
-        )
-    space = math.factorial(inst.n) ** (inst.k - 1)
-    if space > MAX_PERFECT_MATCHINGS:
-        raise SpaceTooLargeError(
-            f"{space} perfect matchings exceed the bound {MAX_PERFECT_MATCHINGS}",
-            bound=MAX_PERFECT_MATCHINGS,
-            required=space,
-        )
+    check_space("candidate families", inst.n**inst.k, MAX_CANDIDATE_FAMILIES)
+    check_space(
+        "perfect matchings", math.factorial(inst.n) ** (inst.k - 1), MAX_PERFECT_MATCHINGS
+    )
 
 
 def _set_family(rows: list[list[int]], fam: tuple[int, ...], matched: bool) -> None:
@@ -219,22 +208,17 @@ def _enumerate_perfect(inst: Instance) -> Iterator[Matching]:
     yield from assign(0)
 
 
-def enumerate_weakly_stable(
-    inst: Instance,
-    limit: int | None = None,
-    max_families: int = MAX_CANDIDATE_FAMILIES,
-) -> list[Matching]:
+def enumerate_weakly_stable(inst: Instance, limit: int | None = None) -> list[Matching]:
     """All weakly stable matchings of ``inst`` (up to ``limit``), canonical order.
 
     Raises SpaceTooLargeError when the candidate-family space (or, for
-    complete instances, the perfect-matching space) exceeds the configured
-    bound.
+    complete instances, the perfect-matching space) exceeds its bound.
     """
     if inst.is_complete and inst.n >= 1:
-        _check_perfect_bound(inst, max_families)
+        _check_perfect_bound(inst)
         stable = _enumerate_perfect(inst)
     else:
-        fams = _check_family_bound(inst, max_families)
+        fams = _check_family_bound(inst)
         stable = (
             Matching.of(cur)
             for cur, rows in _disjoint_subsets(inst, fams)
@@ -245,19 +229,13 @@ def enumerate_weakly_stable(
     return list(stable)
 
 
-def count_matchings(
-    inst: Instance, max_families: int = MAX_CANDIDATE_FAMILIES
-) -> int:
+def count_matchings(inst: Instance) -> int:
     """Total number of matchings (all agent-disjoint family subsets)."""
-    fams = _check_family_bound(inst, max_families)
+    fams = _check_family_bound(inst)
     return sum(1 for _ in _disjoint_subsets(inst, fams))
 
 
-def count_weakly_stable(
-    inst: Instance,
-    max_families: int = MAX_CANDIDATE_FAMILIES,
-    limit: int | None = None,
-) -> int:
+def count_weakly_stable(inst: Instance, limit: int | None = None) -> int:
     """Number of weakly stable matchings, exact, or capped at ``limit``.
 
     ``limit`` None counts them all; a positive ``limit`` stops at that many,
@@ -271,9 +249,9 @@ def count_weakly_stable(
         return 0
     if inst.is_complete and inst.n >= 1 and inst.k == 3:
         if limit is None:
-            _check_perfect_bound(inst, max_families)
+            _check_perfect_bound(inst)
         return _scan_complete_k3(inst, limit)
-    return len(enumerate_weakly_stable(inst, limit, max_families))
+    return len(enumerate_weakly_stable(inst, limit))
 
 
 def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOutcome:

@@ -334,6 +334,20 @@ def test_induce_up_checks_the_matching_against_the_instance(tmp_path, capsys, mo
     assert not up.exists()
 
 
+def test_induce_down_checks_the_result_against_the_instance(tmp_path, capsys):
+    inst, m = tmp_path / "s.kdsm", tmp_path / "f.kdsm"
+    big, mp, down = tmp_path / "big.kdsm", tmp_path / "big.map", tmp_path / "down.kdsm"
+    inst.write_text(PARTIAL)  # (0, 0) accepts only (1, 1)
+    assert run(capsys, "reduce", str(inst), "--mode", "3k", "--target-k", "4",
+               "--out", str(big), "--map-out", str(mp))[0] == 0
+    m.write_text("KDSM-MATCHING 1\nfamily 0 0 0 0\n")  # goes down to family 0 0 0
+    code, out, err = run(capsys, "induce", "--direction", "down", "--map", str(mp),
+                         "--matching", str(m), "--instance", str(inst), "--out", str(down))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: agent (0, 0) does not accept (1, 0)"
+    assert not down.exists()
+
+
 def _env_cases():
     """Per subcommand flag, a KDSM_* value that the flag's type or choices reject."""
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]

@@ -83,7 +83,7 @@ class TestEnumerateInstances:
 
     def test_space_bound(self):
         with pytest.raises(SpaceTooLargeError):
-            list(enumerate_instances(3, 3, complete=True, max_instances=100))
+            list(enumerate_instances(3, 4, complete=True))  # 24^12 instances
 
 
 class TestSearchCounterexample:

@@ -1,0 +1,161 @@
+"""The one instance check, the one dimension check, and every entry point using them.
+
+Building ``Instance._better`` is the only check of the preference lists:
+``validate_instance`` is its report form, and every public function that
+takes an instance must raise ``InvalidInstanceError`` for a bad list entry
+instead of returning a result. ``core.check_dims`` is the only dimension
+check, and it runs before anything is drawn or built.
+"""
+
+from __future__ import annotations
+
+import inspect
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kdsm
+from kdsm import (
+    AgentRef,
+    CorrMap3K,
+    DimensionError,
+    Family,
+    GadgetMap,
+    Instance,
+    InvalidInstanceError,
+    Matching,
+    count_instances,
+    enumerate_instances,
+    random_instance,
+    validate_instance,
+)
+from kdsm import genlab
+
+
+def oracle_first_violation(inst: Instance) -> str | None:
+    """The first out-of-range or repeated entry in (t, i) order, by list scan."""
+    for t in range(inst.k):
+        for i in range(inst.n):
+            seen = set()
+            for x in inst.prefs[t][i]:
+                if not 0 <= x < inst.n:
+                    return f"pref ({t}, {i}): entry {x} out of range [0, {inst.n})"
+                if x in seen:
+                    return f"pref ({t}, {i}): duplicate entry {x}"
+                seen.add(x)
+    return None
+
+
+@st.composite
+def raw_instances(draw):
+    """Valid lists, then up to two lists each given an out-of-range or repeated entry."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(0, 5))
+    rows = [
+        [list(draw(st.permutations(range(n)))[: draw(st.integers(0, n))]) for _i in range(n)]
+        for _t in range(k)
+    ]
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        lst = rows[draw(st.integers(0, k - 1))][draw(st.integers(0, n - 1))]
+        bad = st.sampled_from([-2, -1, n, n + 1])
+        if lst:
+            bad = st.one_of(bad, st.sampled_from(lst))
+        lst.insert(draw(st.integers(0, len(lst))), draw(bad))
+    return Instance(k, n, tuple(tuple(tuple(lst) for lst in row) for row in rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_instances())
+def test_validation_reports_the_first_bad_entry(inst):
+    expected = oracle_first_violation(inst)
+    report = validate_instance(inst)
+    assert report.ok == (expected is None)
+    assert report.violations == (() if expected is None else (expected,))
+    if expected is None:
+        assert len(inst._better) == inst.k
+    else:
+        with pytest.raises(InvalidInstanceError) as exc:
+            inst._better
+        assert str(exc.value) == expected
+
+
+BAD_INSTANCES = {
+    "out-of-range": Instance(3, 2, (((1, 5), (0,)), ((0,), (1,)), ((0, 1), (1,)))),
+    "repeated": Instance(3, 2, (((1,), (0,)), ((0,), (1, 1)), ((0, 1), (1,)))),
+}
+# the argument for every parameter an entry point takes after the instance;
+# a new entry point with a parameter missing here fails the guard below
+ARGUMENTS = {
+    "a": AgentRef(0, 0),
+    "b": AgentRef(1, 0),
+    "c": AgentRef(1, 1),
+    "m": Matching.of([]),
+    "f": Family((0, 0, 0)),
+    "seed": 0,
+    "keep": 0.7,
+    "limit": None,
+    "budget": None,
+    "method": "auto",
+    "target_k": 4,
+}
+# these read the lists as text or report on them, so they never raise for a bad entry
+EXEMPT = {"serialize_instance", "instance_digest", "validate_instance"}
+
+
+def _takes_instance(fn) -> bool:
+    try:
+        params = list(inspect.signature(fn).parameters.values())
+    except ValueError:  # the exception classes have none
+        return False
+    return bool(params) and params[0].annotation in (Instance, "Instance")
+
+
+def _entry_points():
+    for name in kdsm.__all__:
+        fn = getattr(kdsm, name)
+        if callable(fn) and name not in EXEMPT and _takes_instance(fn):
+            yield name, fn
+    yield "CorrMap3K.with_source", CorrMap3K(2, 4).with_source
+    yield "GadgetMap.with_source", GadgetMap(3, 2).with_source
+
+
+ENTRY_POINTS = dict(_entry_points())
+
+
+def test_the_guard_walks_the_reductions_and_solvers():
+    assert {"lift_3_to_k", "complete_instance", "find_weakly_stable", "is_weakly_stable"} <= set(
+        ENTRY_POINTS
+    )
+
+
+@pytest.mark.parametrize("bad", list(BAD_INSTANCES))
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_every_instance_entry_point_rejects_a_bad_entry(name, bad):
+    fn = ENTRY_POINTS[name]
+    args = []
+    for param in list(inspect.signature(fn).parameters)[1:]:
+        if param not in ARGUMENTS:
+            pytest.fail(f"{name}: no argument for parameter {param!r}; add it to ARGUMENTS")
+        args.append(ARGUMENTS[param])
+    with pytest.raises(InvalidInstanceError):
+        fn(BAD_INSTANCES[bad], *args)
+
+
+@pytest.mark.parametrize("k, n", [(1, 2), (0, 10**5), (3, -1), (2, -3)])
+def test_dimensions_are_checked_before_any_work(monkeypatch, k, n):
+    def no_work(*_args, **_kwargs):
+        pytest.fail("built or drew something before checking the dimensions")
+
+    for name in ("list_options", "product", "_random_list"):
+        monkeypatch.setattr(genlab, name, no_work)
+    calls = [
+        lambda: count_instances(k, n, True),
+        lambda: count_instances(k, n, False),
+        lambda: enumerate_instances(k, n, True),
+        lambda: random_instance(0, k, n),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionError, match=re.escape(f"invalid dimensions k={k}, n={n}")):
+            call()

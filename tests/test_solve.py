@@ -18,6 +18,7 @@ from kdsm import (
     find_weakly_stable,
     random_instance,
 )
+from kdsm import solve
 from conftest import (
     as_matching,
     mutate_instance,
@@ -69,7 +70,7 @@ class TestEnumerate:
     def test_space_bound(self):
         big = random_instance(0, 3, 60, 1.0)
         with pytest.raises(SpaceTooLargeError) as exc:
-            enumerate_weakly_stable(big, max_families=1000)
+            enumerate_weakly_stable(big)
         assert exc.value.required > exc.value.bound
 
     def test_no_stable_fixture_enumerates_empty(self, no_stable_instance):
@@ -115,11 +116,12 @@ class TestCount:
             assert count_weakly_stable(inst, limit=0) == 0
             assert count_weakly_stable(inst, limit=-2) == 0
 
-    def test_capped_scan_skips_the_space_bound(self):
+    def test_capped_scan_skips_the_space_bound(self, monkeypatch):
+        monkeypatch.setattr(solve, "MAX_CANDIDATE_FAMILIES", 10)
         inst = random_instance(3, 3, 3, 1.0)
         with pytest.raises(SpaceTooLargeError):
-            count_weakly_stable(inst, max_families=10)
-        assert count_weakly_stable(inst, max_families=10, limit=1) == 1
+            count_weakly_stable(inst)
+        assert count_weakly_stable(inst, limit=1) == 1
 
     def test_count_matchings_against_oracle(self):
         rng = random.Random(11)
