@@ -282,7 +282,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.handler(args)
     except SpaceTooLargeError as exc:
-        print(f"error: {exc} (required {exc.required}, bound {exc.bound})", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (KdsmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,7 +39,7 @@ class InvalidFamilyError(KdsmError):
 
 
 class InvalidInstanceError(KdsmError):
-    """Preference lists of the wrong shape, or with an out-of-range or repeated entry."""
+    """Preference lists of the wrong shape, or with an out-of-range, repeated or non-int entry."""
 
 
 class DimensionError(KdsmError):
@@ -59,17 +59,21 @@ class SpaceTooLargeError(KdsmError):
         self.required = required
 
 
-def check_dims(k: int, n: int) -> None:
-    """Raise DimensionError unless k >= 2 types and n >= 0 agents per type."""
-    if k < 2 or n < 0:
+def check_dims(k: int, n: int, min_k: int = 2) -> None:
+    """Raise DimensionError unless k >= ``min_k`` types and n >= 0 agents per type."""
+    if k < min_k or n < 0:
         raise DimensionError(f"invalid dimensions k={k}, n={n}")
 
 
 def check_space(what: str, required: int, bound: int) -> None:
-    """Raise SpaceTooLargeError saying "<required> <what> exceed the bound <bound>"."""
+    """Raise SpaceTooLargeError saying "<required> <what> exceed the bound <bound>";
+    a count of 10,000 bits or more reads "over 2^<bits - 1>", as str() refuses
+    an int of more than ~4,300 digits."""
     if required > bound:
+        bits = required.bit_length()
+        count = required if bits < 10_000 else f"over 2^{bits - 1}"
         raise SpaceTooLargeError(
-            f"{required} {what} exceed the bound {bound}", bound=bound, required=required
+            f"{count} {what} exceed the bound {bound}", bound=bound, required=required
         )
 
 
@@ -128,7 +132,8 @@ class Instance:
         # to x. Slot n (so also -1, "unmatched") and every unlisted x hold all
         # listed entries: an unlisted partner is no better than none. Building
         # it is the one list check: InvalidInstanceError names the first entry,
-        # in (t, i) order, outside [0, n) or repeated.
+        # in (t, i) order, outside [0, n) or repeated, or the first list with a
+        # non-integer entry.
         n = self.n
         full = (1 << n) - 1
         bit = [1 << x for x in range(n)]
@@ -138,16 +143,21 @@ class Instance:
             for lst in row:
                 masks = [0] * (n + 1)
                 acc = 0
-                for x in lst:
-                    if not 0 <= x < n or acc & bit[x]:
-                        # (t, i) counts the rows and lists built so far
-                        where = f"pref ({len(table)}, {len(masks_row)})"
-                        raise InvalidInstanceError(
-                            f"{where}: duplicate entry {x}" if 0 <= x < n
-                            else f"{where}: entry {x} out of range [0, {n})"
-                        )
-                    masks[x] = acc
-                    acc |= bit[x]
+                # (t, i) counts the rows and lists built so far
+                try:
+                    for x in lst:
+                        if not 0 <= x < n or acc & bit[x]:
+                            where = f"pref ({len(table)}, {len(masks_row)})"
+                            raise InvalidInstanceError(
+                                f"{where}: duplicate entry {x}" if 0 <= x < n
+                                else f"{where}: entry {x} out of range [0, {n})"
+                            )
+                        masks[x] = acc
+                        acc |= bit[x]
+                except TypeError:  # a non-integer entry, such as 0.0, "0" or None
+                    raise InvalidInstanceError(
+                        f"pref ({len(table)}, {len(masks_row)}): entries must be integers"
+                    ) from None
                 if acc != full:
                     masks = [m if acc >> x & 1 else acc for x, m in enumerate(masks)]
                 masks[n] = acc
@@ -173,17 +183,15 @@ class Family:
 
     members: tuple[int, ...]
 
-    def agent(self, t: int) -> AgentRef:
-        return AgentRef(t, self.members[t])
-
 
 @dataclass(frozen=True)
 class Matching:
-    """An immutable set of agent-disjoint families with O(1) partner lookup.
+    """An immutable set of agent-disjoint families.
 
-    An agent that appears in no family is unmatched, and its partner is
-    itself. Construct through :meth:`of`, which deduplicates and sorts
-    families into canonical order (ascending type-0 index).
+    An agent that appears in no family is unmatched. Construct through
+    :meth:`of`, which deduplicates and sorts families into canonical order
+    (ascending type-0 index); :func:`matching_rows` gives the partner of
+    every agent.
     """
 
     families: tuple[Family, ...]
@@ -196,17 +204,9 @@ class Matching:
         return Matching(tuple(sorted(fams)))
 
     @cached_property
-    def _partners(self) -> dict[AgentRef, AgentRef]:
-        table: dict[AgentRef, AgentRef] = {}
-        for f in self.families:
-            k = len(f.members)
-            for t in range(k):
-                table[f.agent(t)] = f.agent((t + 1) % k)
-        return table
-
-    def partner(self, a: AgentRef) -> AgentRef:
-        """The next-type member of a's family, or ``a`` itself if unmatched."""
-        return self._partners.get(a, a)
+    def _rows(self) -> dict[tuple[int, int], list[list[int]]]:
+        # matching_rows(self, k, n) by (k, n), filled and only read by kdsm.reductions
+        return {}
 
     def __len__(self) -> int:
         return len(self.families)
@@ -216,10 +216,6 @@ class Matching:
 
     def __contains__(self, f: Family) -> bool:
         return f in self.families
-
-
-def partner(m: Matching, a: AgentRef) -> AgentRef:
-    return m.partner(a)
 
 
 def prefers(inst: Instance, a: AgentRef, b: AgentRef, c: AgentRef) -> bool:
@@ -279,7 +275,7 @@ def matching_rows(
     rows = [[-1] * n for _ in range(k)]
     for f in m:
         fm = f.members
-        if len(fm) != k or not all(0 <= i < n for i in fm):
+        if len(fm) != k or min(fm) < 0 or max(fm) >= n:
             raise InvalidFamilyError(f"family {fm} is not {k} members in [0, {n})")
         for t, i in enumerate(fm):
             succ = fm[(t + 1) % k]

@@ -28,6 +28,7 @@ import random
 from dataclasses import dataclass
 from functools import partial
 from itertools import permutations, product
+from math import factorial, perm
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator
 
@@ -140,9 +141,11 @@ def list_options(n: int, complete: bool) -> list[tuple[int, ...]]:
 
 
 def count_instances(k: int, n: int, complete: bool) -> int:
-    """Number of instances of the given shape; DimensionError for k < 2 or n < 0."""
+    """Number of instances of the given shape, counted without building a list;
+    DimensionError for k < 2 or n < 0."""
     check_dims(k, n)
-    return len(list_options(n, complete)) ** (k * n)
+    options = factorial(n) if complete else sum(perm(n, s) for s in range(n + 1))
+    return options ** (k * n)
 
 
 def enumerate_instances(k: int, n: int, complete: bool) -> Iterator[Instance]:

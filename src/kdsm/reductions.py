@@ -19,8 +19,11 @@ with a map object that lets matchings be transported across the reduction:
 
 Matchings are moved down by reading off non-dummy families and up by an
 explicit row-shift construction; executable checkers verify the structural
-confinement facts the constructions rely on. Each transport checks its
-input with :func:`kdsm.core.matching_rows` and raises TransportFormError.
+confinement facts the constructions rely on. Every function here that takes
+a matching, transport or checker, reads it as the partner rows of
+:func:`kdsm.core.matching_rows` and raises TransportFormError for a matching
+that does not fit. A map built with n < 0 or k below its ``MIN_K`` raises
+DimensionError.
 
 Each map depends only on its kind, k and n, so a map file is exactly four
 lines: ``KDSM-MAP 1`` / ``kind lift|gadget`` / ``k <k>`` / ``n <n>``. For a
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import ClassVar, Iterator, Literal
 
 from .core import (
     AgentRef,
@@ -46,6 +49,7 @@ from .core import (
     KdsmError,
     Matching,
     TypeMismatchError,
+    check_dims,
     family_violations,
     matching_rows,
     parse_dims,
@@ -70,6 +74,10 @@ class CorrMap3K:
 
     n: int
     k_out: int
+    MIN_K: ClassVar[int] = 4
+
+    def __post_init__(self) -> None:
+        check_dims(self.k_out, self.n, self.MIN_K)
 
     @property
     def n_out(self) -> int:
@@ -115,6 +123,10 @@ class GadgetMap:
     k: int
     n: int
     source: Instance | None = None
+    MIN_K: ClassVar[int] = 3
+
+    def __post_init__(self) -> None:
+        check_dims(self.k, self.n, self.MIN_K)
 
     @property
     def boundary(self) -> int:
@@ -202,10 +214,11 @@ def parse_map(text: str) -> CorrMap3K | GadgetMap:
         raise FormatError("malformed map file: expected a 'kind lift|gadget' line")
     if kind[1] not in ("lift", "gadget"):
         raise FormatError(f"unknown map kind {kind[1]!r}")
-    k, n = parse_dims(lines[2:4], min_k=4 if kind[1] == "lift" else 3)
+    lift = kind[1] == "lift"
+    k, n = parse_dims(lines[2:4], min_k=(CorrMap3K if lift else GadgetMap).MIN_K)
     if len(lines) > 4:
         raise FormatError(f"malformed map file: unexpected line {lines[4]!r}")
-    return CorrMap3K(n, k) if kind[1] == "lift" else GadgetMap(k, n)
+    return CorrMap3K(n, k) if lift else GadgetMap(k, n)
 
 
 def lift_3_to_k(inst: Instance, target_k: int) -> tuple[Instance, CorrMap3K]:
@@ -222,8 +235,6 @@ def lift_3_to_k(inst: Instance, target_k: int) -> tuple[Instance, CorrMap3K]:
     """
     if inst.k != 3:
         raise DimensionError(f"lift requires a 3-type input, got k={inst.k}")
-    if target_k < 4:
-        raise DimensionError(f"target dimension must be >= 4, got {target_k}")
     n = inst.n
     cmap = CorrMap3K(n, target_k)
     # slot n of a better row: the entries agent (2, i) accepts
@@ -288,12 +299,15 @@ def transport_matching(
     raise ArgumentError(f"unknown direction {direction!r}; expected 'up' or 'down'")
 
 
-def _require_shape(m: Matching, k: int, n: int) -> None:
-    """Raise TransportFormError unless ``m`` is k-member families over [0, n), agent-disjoint."""
-    try:
-        matching_rows(m, k, n)
-    except InvalidFamilyError as exc:
-        raise TransportFormError(str(exc)) from exc
+def _require_shape(m: Matching, k: int, n: int) -> list[list[int]]:
+    """The partner rows of ``m``, kept on it (the admirer check runs once per agent)
+    and only read; TransportFormError unless ``m`` fits k types of n agents."""
+    if (k, n) not in m._rows:
+        try:
+            m._rows[k, n] = matching_rows(m, k, n)
+        except InvalidFamilyError as exc:
+            raise TransportFormError(str(exc)) from exc
+    return m._rows[k, n]
 
 
 def complete_instance(
@@ -308,8 +322,6 @@ def complete_instance(
     reorders choices the construction never relies on. Raises DimensionError
     for k < 3 and InvalidInstanceError for a bad list entry.
     """
-    if inst.k < 3:
-        raise DimensionError(f"completion requires k >= 3, got k={inst.k}")
     k, n = inst.k, inst.n
     gm = GadgetMap(k, n).with_source(inst)
     kn = k * n
@@ -342,53 +354,42 @@ def complete_instance(
     return Instance(k, nout, tuple(rows)), gm
 
 
-def row_shift(m: Matching, alpha: AgentRef, t: int) -> int:
-    """1 when ``alpha`` is matched and of type ``t``, else 0.
-
-    This is the column shift the induced matching applies to the gadget of
-    ``alpha`` at row ``t``: a matched agent's non-dummy is taken by a
-    non-dummy family, so its own gadget column slides over by one in that
-    row only.
-    """
-    return 1 if t == alpha.t and m.partner(alpha) != alpha else 0
-
-
 def free_boundary_agents(gm: GadgetMap, m: Matching) -> list[list[AgentRef]]:
     """Per output type, the boundary-column agents not consumed by the shift.
 
     List ``t`` holds, in increasing lexicographic order, the boundary
-    agents (boundary, alpha, t) whose gadget row ``t`` is unshifted. Every
-    list has length |A| - |m|, so they zip into families.
+    agents (boundary, alpha, t) whose gadget row ``t`` is unshifted (see
+    :func:`induce_up`). Every list has length |A| - |m|, so they zip into families.
     """
-    out = []
-    for t in range(gm.k):
-        out.append(
-            [
-                gm.to_output(gm.boundary, alpha, t)
-                for alpha in gm.input_agents()
-                if row_shift(m, alpha, t) == 0
-            ]
-        )
-    return out
+    rows = _require_shape(m, gm.k, gm.n)
+    return [
+        [
+            gm.to_output(gm.boundary, alpha, t)
+            for alpha in gm.input_agents()
+            if alpha.t != t or rows[alpha.t][alpha.i] < 0
+        ]
+        for t in range(gm.k)
+    ]
 
 
 def induce_up(gm: GadgetMap, m: Matching) -> Matching:
     """Transport a matching of the input instance up to the completed one.
 
     The result is perfect: non-dummy families mirror the input families,
-    each gadget contributes one family per non-boundary column (shifted by
-    one in the row of a matched owner), and the leftover boundary agents
-    are zipped into families by rank.
+    each gadget contributes one family per non-boundary column, and the
+    leftover boundary agents are zipped into families by rank. A matched
+    owner's non-dummy is taken by a non-dummy family, so the gadget's row of
+    the owner's type is shifted by one column.
     """
     k = gm.k
-    _require_shape(m, k, gm.n)
+    rows = _require_shape(m, k, gm.n)
     fams: list[Family] = []
     for f in m:
         fams.append(
             Family(tuple(gm.non_dummy(AgentRef(t, f.members[t])).i for t in range(k)))
         )
     for alpha in gm.input_agents():
-        shifts = [row_shift(m, alpha, t) for t in range(k)]
+        shifts = [int(t == alpha.t and rows[alpha.t][alpha.i] >= 0) for t in range(k)]
         for j in range(gm.boundary):
             fams.append(
                 Family(tuple(gm.to_output(j + shifts[t], alpha, t).i for t in range(k)))
@@ -455,9 +456,9 @@ def check_admirer_bound(
     if alpha_star.t != t_star:
         raise TypeMismatchError(f"agent {tuple(alpha_star)} is not of type {t_star}")
     k = gm.k
+    rows = _require_shape(m_hat, k, gm.n_out)
     nd = gm.non_dummy(alpha_star)
-    p = m_hat.partner(nd)
-    if p in set(gm.mapped_prefix(alpha_star)):
+    if rows[nd.t][nd.i] in {b.i for b in gm.mapped_prefix(alpha_star)}:
         return CheckReport("admirer-bound", False, 0, ())
     violations = []
     checked = 0
@@ -465,13 +466,11 @@ def check_admirer_bound(
     for t in range(k):
         for j in range(max_j + 1):
             a = gm.to_output(j, alpha_star, t)
-            q = m_hat.partner(a)
+            qi = rows[t][a.i]
+            q = a if qi < 0 else AgentRef((t + 1) % k, qi)  # unmatched: the agent itself
             checked += 1
-            ok = q.t == (t + 1) % k
-            if ok:
-                jq, owner = gm.from_output(q)
-                ok = owner == alpha_star and jq <= j + k - 1
-            if not ok:
+            jq, owner = gm.from_output(q)
+            if qi < 0 or owner != alpha_star or jq > j + k - 1:
                 violations.append(
                     f"partner of (j={j}, alpha={tuple(alpha_star)}, t={t}) is"
                     f" ({q.t}, {q.i}), outside columns 0..{j + k - 1} of the gadget"
@@ -489,6 +488,7 @@ def check_gadget_confinement(gm: GadgetMap, m_hat: Matching) -> CheckReport:
     stability of ``m_hat``.
     """
     k = gm.k
+    _require_shape(m_hat, k, gm.n_out)  # the walk below reads the checked families
     checked = 0
     violations = []
     for f in m_hat:
@@ -497,9 +497,8 @@ def check_gadget_confinement(gm: GadgetMap, m_hat: Matching) -> CheckReport:
             j0, owner = decoded[t_star]
             if j0 != 0 or owner.t != t_star:
                 continue
-            succ_t = (t_star + 1) % k
-            succ = AgentRef(succ_t, f.members[succ_t])
-            if succ in set(gm.mapped_prefix(owner)):
+            # owner has type t_star, so its mapped prefix holds type t_star + 1
+            if f.members[(t_star + 1) % k] in {b.i for b in gm.mapped_prefix(owner)}:
                 continue
             checked += 1
             for s in range(k):
@@ -524,18 +523,21 @@ def check_partner_correspondence(
     must be exactly the non-dummy of the agent's partner under ``m``.
     """
     src = gm._require_source()
+    rows_hat = _require_shape(m_hat, gm.k, gm.n_out)
+    rows = _require_shape(m, gm.k, gm.n)
     checked = 0
     violations = []
     for alpha in src.agents():
-        nd = gm.non_dummy(alpha)
-        p = m_hat.partner(nd)
-        if p not in set(gm.mapped_prefix(alpha)):
+        nt = (alpha.t + 1) % gm.k
+        p = rows_hat[alpha.t][gm.non_dummy(alpha).i]
+        if p not in {b.i for b in gm.mapped_prefix(alpha)}:
             continue
         checked += 1
-        expected = gm.to_output(0, m.partner(alpha), (alpha.t + 1) % gm.k)
-        if p != expected:
+        q = rows[alpha.t][alpha.i]
+        expected = gm.to_output(0, alpha if q < 0 else AgentRef(nt, q), nt)
+        if p != expected.i:
             violations.append(
-                f"non-dummy of {tuple(alpha)} matched to ({p.t}, {p.i}),"
+                f"non-dummy of {tuple(alpha)} matched to ({nt}, {p}),"
                 f" expected ({expected.t}, {expected.i})"
             )
     return CheckReport("partner-correspondence", checked > 0, checked, tuple(violations))

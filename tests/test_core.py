@@ -18,7 +18,6 @@ from kdsm import (
     is_weakly_stable,
     parse_instance,
     parse_matching,
-    partner,
     prefers,
     serialize_instance,
     serialize_matching,
@@ -190,21 +189,6 @@ class TestValidation:
 
 
 class TestMatching:
-    def test_partner_cyclic_wrap(self):
-        inst = make(3, 2, [[(1,), ()], [(0,), ()], [(1,), ()]])
-        m = Matching.of([(0, 1, 0)])
-        assert partner(m, AgentRef(2, 0)) == AgentRef(0, 0)
-        assert partner(m, AgentRef(0, 0)) == AgentRef(1, 1)
-
-    def test_unmatched_partner_is_self(self):
-        m = Matching.of([])
-        a = AgentRef(1, 3)
-        assert partner(m, a) == a
-
-    def test_full_singleton(self, tiny_complete):
-        m = Matching.of([(0, 0, 0)])
-        assert partner(m, AgentRef(0, 0)) == AgentRef(1, 0)
-
     def test_validate_empty_ok(self, tiny_complete):
         assert validate_matching(tiny_complete, Matching.of([])).ok
 

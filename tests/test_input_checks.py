@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import inspect
 import re
+from math import factorial, perm
 
 import pytest
 from hypothesis import given, settings
@@ -26,12 +27,13 @@ from kdsm import (
     Instance,
     InvalidInstanceError,
     Matching,
+    SpaceTooLargeError,
     count_instances,
     enumerate_instances,
     random_instance,
     validate_instance,
 )
-from kdsm import genlab
+from kdsm import cli, genlab
 
 
 def oracle_first_violation(inst: Instance) -> str | None:
@@ -84,6 +86,7 @@ def test_validation_reports_the_first_bad_entry(inst):
 BAD_INSTANCES = {
     "out-of-range": Instance(3, 2, (((1, 5), (0,)), ((0,), (1,)), ((0, 1), (1,)))),
     "repeated": Instance(3, 2, (((1,), (0,)), ((0,), (1, 1)), ((0, 1), (1,)))),
+    "non-integer": Instance(3, 2, (((1,), (0,)), ((0,), (1,)), ((0, 1), (1, 0.0)))),
 }
 # the argument for every parameter an entry point takes after the instance;
 # a new entry point with a parameter missing here fails the guard below
@@ -159,3 +162,28 @@ def test_dimensions_are_checked_before_any_work(monkeypatch, k, n):
     for call in calls:
         with pytest.raises(DimensionError, match=re.escape(f"invalid dimensions k={k}, n={n}")):
             call()
+
+
+@pytest.mark.parametrize("entry", [0.0, "0", None])
+def test_a_non_integer_entry_names_its_list(entry):
+    inst = Instance(3, 2, (((1,), (0,)), ((0, entry), (1,)), ((0,), (1,))))
+    message = "pref (1, 0): entries must be integers"
+    assert validate_instance(inst).violations == (message,)
+    with pytest.raises(InvalidInstanceError, match=re.escape(message)):
+        inst._better
+
+
+def test_a_space_is_counted_before_it_is_built(monkeypatch, capsys):
+    def no_build(*_args, **_kwargs):
+        pytest.fail("built the admissible lists before checking the space")
+
+    for name in ("list_options", "permutations"):
+        monkeypatch.setattr(genlab, name, no_build)
+    assert count_instances(3, 9, True) == factorial(9) ** 27
+    assert count_instances(3, 9, False) == sum(perm(9, s) for s in range(10)) ** 27
+    for n in (9, 40):  # (40!)^120 has more digits than str() converts
+        with pytest.raises(SpaceTooLargeError):
+            enumerate_instances(3, n, True)
+    assert cli.main(["experiment", "--id", "lift-3k-equivalence", "--n", "12"]) == 3
+    err = capsys.readouterr().err
+    assert err.count(str(count_instances(3, 12, False))) == 1

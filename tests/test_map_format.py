@@ -6,6 +6,7 @@ from kdsm import (
     AgentRef,
     ArgumentError,
     CorrMap3K,
+    DimensionError,
     FormatError,
     GadgetMap,
     Matching,
@@ -113,4 +114,13 @@ def test_bad_arguments_raise_kdsm_errors():
     ]
     for call in calls:
         with pytest.raises(ArgumentError):
+            call()
+    # a map is built only for dimensions its reduction accepts
+    calls = [
+        lambda: GadgetMap(3, -1),
+        lambda: induce_up(GadgetMap(2, 1), Matching.of([])),
+        lambda: transport_matching(CorrMap3K(2, 3), Matching.of([(0, 1, 1)]), "up"),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionError):
             call()

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdsm import (
+    AgentRef,
     CorrMap3K,
     Family,
     GadgetMap,
@@ -22,9 +23,13 @@ from kdsm import (
     InvalidFamilyError,
     Matching,
     TransportFormError,
+    check_admirer_bound,
+    check_gadget_confinement,
+    check_partner_correspondence,
     family_violations,
     find_blocking_cycle,
     find_blocking_naive,
+    free_boundary_agents,
     induce_down,
     induce_up,
     is_strongly_blocking,
@@ -137,16 +142,23 @@ def shape_error(m: Matching, k: int, n: int) -> str | None:
 @given(st.data(), st.integers(3, 5), st.integers(0, 3))
 @settings(max_examples=200, deadline=None)
 def test_transports_reject_exactly_what_the_check_rejects(data, k, n):
-    """Each transport raises TransportFormError, worded as matching_rows words
-    it, exactly when matching_rows rejects its input; the lift's way down
-    may also reject a family off the diagonal."""
+    """Each transport and checker raises TransportFormError, worded as
+    matching_rows words it, exactly when matching_rows rejects its input; the
+    lift's way down may also reject a family off the diagonal."""
     lift = CorrMap3K(n, k + 1)
     gadget = GadgetMap(k, n, Instance(k, n, (((),) * n,) * k))
+    empty = Matching.of([])
     cases = [
         (lambda m: transport_matching(lift, m, "up"), 3, n),
         (lambda m: induce_up(gadget, m), k, n),
+        (lambda m: free_boundary_agents(gadget, m), k, n),
         (lambda m: induce_down(gadget, m), k, gadget.n_out),
+        (lambda m: check_gadget_confinement(gadget, m), k, gadget.n_out),
+        (lambda m: check_partner_correspondence(gadget, m, empty), k, gadget.n_out),
+        (lambda m: check_partner_correspondence(gadget, empty, m), k, n),
     ]
+    if n:  # the admirer check needs an agent to name
+        cases.append((lambda m: check_admirer_bound(gadget, m, AgentRef(0, 0), 0), k, gadget.n_out))
     for transport, k_in, n_in in cases:
         fams = data.draw(st.lists(families_over(k_in, n_in), max_size=4))
         m = Matching.of(fams)

@@ -23,11 +23,10 @@ from kdsm import (
     parse_map,
     random_instance,
     random_matching,
-    row_shift,
     validate_instance,
     validate_matching,
 )
-from kdsm.core import KdsmError
+from kdsm.core import KdsmError, partner_rows
 
 
 def stable_pairs(seed, count, max_n=3):
@@ -128,14 +127,6 @@ class TestConstruction:
 
 
 class TestRowShiftAndBoundary:
-    def test_row_shift_cases(self):
-        inst = random_instance(2, 3, 2, 1.0)
-        m = Matching.of([(0, 0, 0)])
-        a = AgentRef(2, 0)  # matched dog
-        assert row_shift(m, a, 2) == 1
-        assert row_shift(m, a, 0) == 0
-        assert row_shift(m, AgentRef(2, 1), 2) == 0  # unmatched
-
     def test_boundary_lists_lengths(self):
         inst = random_instance(3, 3, 2, 1.0)
         _, gm = complete_instance(inst)
@@ -269,7 +260,8 @@ class TestCheckers:
         for seed in range(50):
             inst = random_instance(seed, 3, 2, 0.4)
             for m in enumerate_weakly_stable(inst):
-                unmatched = [a for a in inst.agents() if m.partner(a) == a]
+                rows = partner_rows(inst, m)
+                unmatched = [a for a in inst.agents() if rows[a.t][a.i] < 0]
                 if unmatched:
                     found = (inst, m, unmatched[0])
                     break
