@@ -51,12 +51,23 @@ class ArgumentError(KdsmError):
 
 
 class SpaceTooLargeError(KdsmError):
-    """A search space exceeds its fixed exhaustive bound."""
+    """A search space exceeds its fixed exhaustive bound.
 
-    def __init__(self, message: str, bound: int, required: int):
+    ``required`` is the size of the space. A space given as a power
+    (base, exponent) and refused from its size alone computes it when read.
+    """
+
+    def __init__(self, message: str, bound: int, required: int | tuple[int, int]):
         super().__init__(message)
         self.bound = bound
-        self.required = required
+        self._required = required
+
+    @property
+    def required(self) -> int:
+        if isinstance(self._required, tuple):
+            base, exponent = self._required
+            self._required = base**exponent
+        return self._required
 
 
 def check_dims(k: int, n: int, min_k: int = 2) -> None:
@@ -65,16 +76,39 @@ def check_dims(k: int, n: int, min_k: int = 2) -> None:
         raise DimensionError(f"invalid dimensions k={k}, n={n}")
 
 
-def check_space(what: str, required: int, bound: int) -> None:
-    """Raise SpaceTooLargeError saying "<required> <what> exceed the bound <bound>";
-    a count of 10,000 bits or more reads "over 2^<bits - 1>", as str() refuses
-    an int of more than ~4,300 digits."""
-    if required > bound:
-        bits = required.bit_length()
-        count = required if bits < 10_000 else f"over 2^{bits - 1}"
-        raise SpaceTooLargeError(
-            f"{count} {what} exceed the bound {bound}", bound=bound, required=required
-        )
+def space_within(required: int | tuple[int, int], bound: int) -> bool:
+    """Whether ``required``, a count or a power (base, exponent) with base >= 1,
+    is at most ``bound``. A power is computed only when its log2 lies below
+    that of the bound: base ** exponent is at least 2^(exponent * (bits - 1))
+    for a base of that many bits."""
+    if isinstance(required, tuple):
+        base, exponent = required
+        if exponent * (base.bit_length() - 1) >= bound.bit_length():
+            return False
+        required = base**exponent
+    return required <= bound
+
+
+def check_space(what: str, required: int | tuple[int, int], bound: int) -> None:
+    """Raise SpaceTooLargeError saying "<required> <what> exceed the bound <bound>"
+    unless :func:`space_within`. A count of 10,000 bits or more reads
+    "over 2^<b>", b below its log2, as str() refuses an int of more than
+    ~4,300 digits; a power that large is refused without computing it."""
+    if space_within(required, bound):
+        return
+    if isinstance(required, tuple):
+        base, exponent = required
+        low = exponent * (base.bit_length() - 1)
+        if low >= 10_000:
+            raise SpaceTooLargeError(
+                f"over 2^{low} {what} exceed the bound {bound}", bound=bound, required=required
+            )
+        required = base**exponent  # fewer than 20,000 bits
+    bits = required.bit_length()
+    count = required if bits < 10_000 else f"over 2^{bits - 1}"
+    raise SpaceTooLargeError(
+        f"{count} {what} exceed the bound {bound}", bound=bound, required=required
+    )
 
 
 class AgentRef(NamedTuple):
@@ -269,24 +303,28 @@ def matching_rows(
 
     This is the one check that a matching fits a k-type market with n
     agents per type. Raises InvalidFamilyError for a family that is not k
-    members in [0, n) and for an agent in two families; given an instance's
-    ``better`` table, also for a member that does not accept its successor.
+    integer members in [0, n) and for an agent in two families; given an
+    instance's ``better`` table, also for a member that does not accept its
+    successor.
     """
     rows = [[-1] * n for _ in range(k)]
     for f in m:
         fm = f.members
-        if len(fm) != k or min(fm) < 0 or max(fm) >= n:
-            raise InvalidFamilyError(f"family {fm} is not {k} members in [0, {n})")
-        for t, i in enumerate(fm):
-            succ = fm[(t + 1) % k]
-            if rows[t][i] >= 0:
-                raise InvalidFamilyError(f"agent ({t}, {i}) appears in two families")
-            # slot -1 of a better row holds every listed entry
-            if better is not None and not better[t][i][-1] >> succ & 1:
-                raise InvalidFamilyError(
-                    f"agent ({t}, {i}) does not accept ({(t + 1) % k}, {succ})"
-                )
-            rows[t][i] = succ
+        try:
+            if len(fm) != k or min(fm) < 0 or max(fm) >= n:
+                raise InvalidFamilyError(f"family {fm} is not {k} members in [0, {n})")
+            for t, i in enumerate(fm):
+                succ = fm[(t + 1) % k]
+                if rows[t][i] >= 0:
+                    raise InvalidFamilyError(f"agent ({t}, {i}) appears in two families")
+                # slot -1 of a better row holds every listed entry
+                if better is not None and not better[t][i][-1] >> succ & 1:
+                    raise InvalidFamilyError(
+                        f"agent ({t}, {i}) does not accept ({(t + 1) % k}, {succ})"
+                    )
+                rows[t][i] = succ
+        except TypeError:  # a non-integer member, such as 0.0, "0" or None
+            raise InvalidFamilyError(f"family {fm}: members must be integers") from None
     return rows
 
 
@@ -330,11 +368,11 @@ MATCHING_HEADER = "KDSM-MATCHING 1"
 
 def serialize_instance(inst: Instance) -> str:
     lines = [INSTANCE_HEADER, f"k {inst.k}", f"n {inst.n}"]
-    for t in range(inst.k):
-        for i in range(inst.n):
-            entries = " ".join(str(x) for x in inst.prefs[t][i])
-            lines.append(f"pref {t} {i} :" + (f" {entries}" if entries else ""))
-    return "\n".join(lines) + "\n"
+    for t, row in enumerate(inst.prefs):
+        for i, lst in enumerate(row):
+            lines.append(f"pref {t} {i} : {' '.join(map(str, lst))}" if lst else f"pref {t} {i} :")
+    lines.append("")  # the final newline
+    return "\n".join(lines)
 
 
 def parse_dims(lines: Sequence[str], min_k: int) -> tuple[int, int]:

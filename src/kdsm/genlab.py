@@ -17,8 +17,8 @@ instance passed; ``_report`` turns the records into the one report shape
 (result lines, failure lines, totals, params and summary in key order).
 ``EXPERIMENTS`` maps each id to its runner and defaults. Stable matchings
 are counted through ``solve.count_weakly_stable``, which alone decides
-between the complete k=3 scan and enumeration; in the pool its per-instance
-form is ``_count_record``.
+between the complete-instance scan (every k) and enumeration; in the pool
+its per-instance form is ``_count_record``.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .core import (
     check_space,
     instance_digest,
     serialize_matching,
+    space_within,
 )
 from .reductions import (
     check_admirer_bound,
@@ -140,21 +141,29 @@ def list_options(n: int, complete: bool) -> list[tuple[int, ...]]:
     return out
 
 
+def _instance_space(k: int, n: int, complete: bool) -> tuple[int, int]:
+    """The number of instances of the given shape as a power: (lists per
+    agent, k * n); DimensionError for k < 2 or n < 0."""
+    check_dims(k, n)
+    options = factorial(n) if complete else sum(perm(n, s) for s in range(n + 1))
+    return options, k * n
+
+
 def count_instances(k: int, n: int, complete: bool) -> int:
     """Number of instances of the given shape, counted without building a list;
     DimensionError for k < 2 or n < 0."""
-    check_dims(k, n)
-    options = factorial(n) if complete else sum(perm(n, s) for s in range(n + 1))
-    return options ** (k * n)
+    options, exponent = _instance_space(k, n, complete)
+    return options**exponent
 
 
 def enumerate_instances(k: int, n: int, complete: bool) -> Iterator[Instance]:
     """Every instance exactly once, canonical order, agent (0, 0) varying slowest.
 
     Raises DimensionError, or SpaceTooLargeError past ``MAX_INSTANCES``, at
-    the call, before any instance is built.
+    the call, before any instance is built; a space far past the bound is
+    refused from its size, without computing its count.
     """
-    check_space("instances", count_instances(k, n, complete), MAX_INSTANCES)
+    check_space("instances", _instance_space(k, n, complete), MAX_INSTANCES)
     opts = list_options(n, complete)
     return (
         Instance(k, n, tuple(tuple(opts[combo[t * n + i]] for i in range(n)) for t in range(k)))
@@ -265,7 +274,7 @@ def search_counterexample(
     """
     for n in range(1, max_n + 1):
         found: Instance | None = None
-        if count_instances(3, n, complete=False) <= COUNTEREXAMPLE_EXHAUSTIVE_CAP:
+        if space_within(_instance_space(3, n, False), COUNTEREXAMPLE_EXHAUSTIVE_CAP):
             for inst in enumerate_instances(3, n, complete=False):
                 if count_weakly_stable(inst, limit=1) == 0:
                     found = inst
@@ -383,7 +392,7 @@ def _existence(
     full: bool = False,
 ) -> ExperimentReport:
     exhaustive = full or (
-        samples is None and count_instances(k, n, complete=True) <= EXHAUSTIVE_INSTANCE_CAP
+        samples is None and space_within(_instance_space(k, n, True), EXHAUSTIVE_INSTANCE_CAP)
     )
     if exhaustive:
         mode = "exhaustive"

@@ -9,6 +9,13 @@ because a weakly stable matching of a complete instance never leaves an
 agent unmatched (one unmatched agent per type would form a strongly
 blocking family).
 
+Counting on a complete instance with n >= 1, for every k, is one
+permutation scan (``_scan_complete``): a perfect matching is one
+permutation per type 1..k-1, and bitmask arithmetic on the instance's
+"better than" table decides each without building it. The
+perfect-matching enumerator stays for ``enumerate_weakly_stable``, whose
+canonical order it gives, and as the scan's oracle in the tests.
+
 The budgeted solver is a backtracking search over per-type-0-agent
 decisions (join a family or stay unmatched). A decision is abandoned as
 soon as a family through one of its agents is strongly blocking with all
@@ -16,10 +23,10 @@ k members' assignments finalized; such a family can never be repaired
 deeper in the branch. A blocked complete candidate backjumps to the
 deepest level that finalized a member of its blocking family.
 
-Every search holds its current matching in the partner-row form of
-:mod:`kdsm.verify` (``rows[t][i]`` is the partner index of agent (t, i),
--1 when unmatched), reads the instance's one "better than" bitmask table
-and tests complete candidates with the naive verifier's first-blocker scan.
+The enumerators and the budgeted solver hold their current matching in
+the partner-row form of :mod:`kdsm.verify` (``rows[t][i]`` is the partner
+index of agent (t, i), -1 when unmatched), read the same bitmask table
+and test complete candidates with the naive verifier's first-blocker scan.
 The perfect-matching enumerator and the budgeted solver also keep a free
 mask per type, the bitmask of its unmatched agents, updated on every
 commit and undo. Every family comes from ``verify.lex_families``; the
@@ -34,7 +41,8 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice, permutations
-from typing import Iterator
+from operator import getitem
+from typing import Iterable, Iterator, Sequence
 
 from .core import Instance, KdsmError, Matching, check_space
 from .verify import (
@@ -131,53 +139,105 @@ def _disjoint_subsets(
     yield from rec(0)
 
 
-def _scan_complete_k3(inst: Instance, limit: int | None = None) -> int:
-    """Count weakly stable perfect matchings of a complete k=3 instance.
+# the permutations of range(n) with their inverses are cached per n up to
+# this size (5,040 pairs at n = 7); a larger n walks them afresh each time
+PERM_CACHE_MAX_N = 7
+_PERMS: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
 
-    Iterates all pairs of permutations (type-1 and type-2 assignments) and
-    tests each with bitmask arithmetic: the matching is blocked iff some
-    type-1 agent b has a preferred type-2 agent whose own preferred type-0
-    set meets the set of type-0 agents that prefer b. The scan stops once
-    ``limit`` (a positive count, or None for all) stable matchings are found.
+
+def _perms(n: int) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every permutation of range(n) with its inverse, in lexicographic order."""
+    pairs = _PERMS.get(n)
+    if pairs is None:
+        pairs = (
+            (p, tuple(sorted(range(n), key=p.__getitem__))) for p in permutations(range(n))
+        )
+        if n <= PERM_CACHE_MAX_N:
+            pairs = _PERMS[n] = list(pairs)
+    return pairs
+
+
+def _subset_or(rows: list[int]) -> list[int]:
+    """``table[s]``: the OR of ``rows[y]`` over the set bits y of s."""
+    table = [0]
+    for row in rows:
+        table += [m | row for m in table]
+    return table
+
+
+def _scan_complete(inst: Instance, limit: int | None = None) -> int:
+    """Count weakly stable perfect matchings of a complete instance with n >= 1.
+
+    A perfect matching is one permutation per type t in 1..k-1, mapping
+    each type-0 agent to its family's type-t member. The permutations of
+    types 1..k-2 are walked as a prefix, carrying per agent of the last
+    type reached the mask of type-0 agents whose improvement chains reach
+    it. Under a type-(k-1) permutation, (k-2, x) closes a strongly blocking
+    family iff the OR of the closing rows (per type-(k-1) agent, the type-0
+    agents it prefers to its partner) over x's improvement mask meets x's
+    mask. The closing rows depend only on the last permutation; a full
+    count with k >= 3 turns each into a subset-OR table once and reads it
+    under every prefix. The scan stops once ``limit`` (a positive count, or
+    None for all) stable matchings are found.
     """
-    n = inst.n
-    if n == 0:
-        return 1
-    bet0, bet1, bet2 = inst._better
+    k, n = inst.k, inst.n
+    better = inst._better
+    mid, close = better[k - 2], better[k - 1]
+    tables = None
+    if limit is None and k >= 3 and n <= PERM_CACHE_MAX_N:
+        tables = [
+            (tau, _subset_or(list(map(getitem, close, tinv)))) for tau, tinv in _perms(n)
+        ]
     count = 0
-    rng_n = range(n)
-    for sigma in permutations(rng_n):
-        wt = [0] * n  # wt[b] = mask of type-0 agents preferring b to sigma partner
-        for a in rng_n:
-            wm = bet0[a][sigma[a]]
-            while wm:
-                low = wm & (-wm)
-                wt[low.bit_length() - 1] |= 1 << a
-                wm ^= low
-        sinv = [0] * n
-        for a in rng_n:
-            sinv[sigma[a]] = a
-        for tau in permutations(rng_n):
-            tinv = [0] * n
-            for a in rng_n:
-                tinv[tau[a]] = a
-            blocked = False
-            for b in rng_n:
-                dm = bet1[b][tau[sinv[b]]]
-                if not dm:
-                    continue
+
+    def walk(t: int, reach: list[int], pinv: Sequence[int]) -> bool:
+        """Scan every matching under the permutations chosen for types 1..t;
+        ``reach[x]`` is the mask of type-0 agents whose improvement chains
+        reach (t, x), ``pinv[x]`` the type-0 member of (t, x). True at the limit."""
+        nonlocal count
+        if t < k - 2:
+            rows = better[t]
+            for p, q in _perms(n):
+                # (t, x) passes its chains on to the agents it prefers to its partner
+                nxt = [0] * n
+                for x, r in enumerate(reach):
+                    m = rows[x][p[pinv[x]]]
+                    while m:
+                        low = m & -m
+                        nxt[low.bit_length() - 1] |= r
+                        m ^= low
+                if walk(t + 1, nxt, q):
+                    return True
+            return False
+        # (improvement row, type-0 family member, reach) of every x that can block
+        xs = [(mid[x], pinv[x], r) for x, r in enumerate(reach) if r]
+        if tables is not None:
+            for tau, tab in tables:
+                for row, a, r in xs:
+                    if tab[row[tau[a]]] & r:
+                        break
+                else:
+                    count += 1
+            return False
+        for tau, tinv in _perms(n):
+            for row, a, r in xs:
+                dm = row[tau[a]]
                 u = 0
                 while dm:
-                    low = dm & (-dm)
-                    u |= bet2[low.bit_length() - 1][tinv[low.bit_length() - 1]]
+                    low = dm & -dm
+                    y = low.bit_length() - 1
+                    u |= close[y][tinv[y]]
                     dm ^= low
-                if u & wt[b]:
-                    blocked = True
+                if u & r:
                     break
-            if not blocked:
+            else:
                 count += 1
                 if count == limit:
-                    return count
+                    return True
+        return False
+
+    # every type-0 agent reaches itself
+    walk(0, [1 << a for a in range(n)], range(n))
     return count
 
 
@@ -239,18 +299,20 @@ def count_weakly_stable(inst: Instance, limit: int | None = None) -> int:
     """Number of weakly stable matchings, exact, or capped at ``limit``.
 
     ``limit`` None counts them all; a positive ``limit`` stops at that many,
-    and ``limit <= 0`` returns 0. Complete k=3 instances go through the
-    permutation scan, which raises SpaceTooLargeError only for a full count:
-    a capped scan stops at its ``limit``-th hit, so it is not refused for
-    size. Every other instance goes through ``enumerate_weakly_stable``,
-    which checks its bounds either way.
+    and ``limit <= 0`` returns 0. A complete instance with n >= 1 goes
+    through the permutation scan, for every k. A full count checks the
+    perfect-matching bounds first and raises SpaceTooLargeError past them;
+    a capped count checks them too, except at k=3, where the scan stops at
+    its ``limit``-th hit and is not refused for size. Every other instance
+    goes through ``enumerate_weakly_stable``, which checks its bounds
+    either way.
     """
     if limit is not None and limit <= 0:
         return 0
-    if inst.is_complete and inst.n >= 1 and inst.k == 3:
-        if limit is None:
+    if inst.is_complete and inst.n >= 1:
+        if limit is None or inst.k != 3:
             _check_perfect_bound(inst)
-        return _scan_complete_k3(inst, limit)
+        return _scan_complete(inst, limit)
     return len(enumerate_weakly_stable(inst, limit))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import inspect
 import re
+import time
 from math import factorial, perm
 
 import pytest
@@ -187,3 +188,21 @@ def test_a_space_is_counted_before_it_is_built(monkeypatch, capsys):
     assert cli.main(["experiment", "--id", "lift-3k-equivalence", "--n", "12"]) == 3
     err = capsys.readouterr().err
     assert err.count(str(count_instances(3, 12, False))) == 1
+
+
+def test_a_huge_space_is_refused_from_its_size(monkeypatch):
+    # (2000!)^6000 has about 1.1 * 10^8 bits; computing it takes minutes
+    start = time.perf_counter()
+    with pytest.raises(SpaceTooLargeError, match=r"^over 2\^\d+ instances exceed the bound"):
+        enumerate_instances(3, 2000, True)
+    assert time.perf_counter() - start < 1.0
+    # the auto mode decides from the size too, and samples
+    monkeypatch.setattr(genlab, "_sampled_complete", lambda *args: iter(()))
+    start = time.perf_counter()
+    rep = genlab.run_experiment("boros-bound", n=2000)
+    assert time.perf_counter() - start < 1.0
+    assert dict(rep.params)["mode"] == "sample-100000"
+    # a space refused from its size still reports its exact count when asked
+    with pytest.raises(SpaceTooLargeError) as exc:
+        enumerate_instances(3, 40, True)
+    assert exc.value.required == count_instances(3, 40, True) == factorial(40) ** 120

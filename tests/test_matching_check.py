@@ -170,3 +170,15 @@ def test_transports_reject_exactly_what_the_check_rejects(data, k, n):
         assert got == expected
     else:
         assert "diagonal" in got or "chain segment" in got
+
+
+@pytest.mark.parametrize("member", [0.0, "0", None])
+def test_a_non_integer_member_is_an_invalid_family(member):
+    inst = Instance(3, 2, (((0, 1), (1, 0)),) * 3)
+    m = Matching.of([(member, 1, 1)])
+    message = f"family {(member, 1, 1)}: members must be integers"
+    for verifier in (find_blocking_naive, find_blocking_cycle):
+        with pytest.raises(InvalidFamilyError, match=f"^{re.escape(message)}$"):
+            verifier(inst, m)
+    with pytest.raises(TransportFormError, match=f"^{re.escape(message)}$"):
+        transport_matching(CorrMap3K(2, 4), m, "up")

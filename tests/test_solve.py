@@ -12,6 +12,7 @@ from kdsm import (
     complete_instance,
     count_matchings,
     count_weakly_stable,
+    enumerate_instances,
     enumerate_weakly_stable,
     find_blocking_cycle,
     find_blocking_naive,
@@ -87,11 +88,33 @@ class TestCount:
         inst = Instance(3, 2, (((0, 1), (0, 1)),) * 3)
         assert count_weakly_stable(inst) == len(oracle_stable_matchings(inst)) >= 2
 
-    def test_fast_path_matches_enumeration(self):
+    @pytest.mark.parametrize("k, max_n", [(2, 4), (3, 3), (4, 3), (5, 3), (6, 2)])
+    def test_fast_path_matches_enumeration(self, k, max_n):
         rng = random.Random(9)
         for _ in range(20):
-            inst = random_instance(rng.getrandbits(32), 3, rng.randint(1, 3), 1.0)
+            inst = random_instance(rng.getrandbits(32), k, rng.randint(1, max_n), 1.0)
             assert count_weakly_stable(inst) == len(enumerate_weakly_stable(inst))
+
+    def test_scan_matches_enumeration_on_every_complete_k4_n2(self):
+        insts = list(enumerate_instances(4, 2, True))
+        assert len(insts) == 256
+        for inst in insts:
+            want = len(enumerate_weakly_stable(inst))
+            assert count_weakly_stable(inst) == want
+            assert count_weakly_stable(inst, limit=1) == min(1, want)
+
+    def test_scan_without_the_permutation_cache(self, monkeypatch):
+        # past PERM_CACHE_MAX_N the permutations are walked afresh and a
+        # full count reads the closing rows without tables
+        monkeypatch.setattr(solve, "PERM_CACHE_MAX_N", 2)
+        monkeypatch.setattr(solve, "_PERMS", {})
+        rng = random.Random(15)
+        for k in (2, 3, 4):
+            for _ in range(5):
+                inst = random_instance(rng.getrandbits(32), k, 3, 1.0)
+                want = len(enumerate_weakly_stable(inst))
+                assert count_weakly_stable(inst) == want
+                assert count_weakly_stable(inst, limit=2) == min(2, want)
 
     def test_small_complete_instances_nonzero(self):
         rng = random.Random(10)
@@ -100,10 +123,12 @@ class TestCount:
             assert count_weakly_stable(inst) >= 1
 
     @pytest.mark.parametrize(
-        "k, n, density", [(3, 3, 1.0), (3, 4, 1.0), (3, 3, 0.6), (4, 2, 0.7)]
+        "k, n, density",
+        [(3, 3, 1.0), (3, 4, 1.0), (3, 3, 0.6), (4, 2, 0.7), (2, 4, 1.0), (4, 3, 1.0),
+         (5, 3, 1.0), (6, 2, 1.0)],
     )
     def test_limit_caps_the_count(self, k, n, density):
-        # complete k=3 goes through the scan, the rest through enumeration
+        # complete instances go through the scan, the rest through enumeration
         rng = random.Random(12)
         for _ in range(8):
             inst = random_instance(rng.getrandbits(32), k, n, density)
@@ -122,6 +147,14 @@ class TestCount:
         with pytest.raises(SpaceTooLargeError):
             count_weakly_stable(inst)
         assert count_weakly_stable(inst, limit=1) == 1
+
+    def test_capped_count_keeps_the_perfect_bound_past_k3(self, monkeypatch):
+        # the scan serves every k, but only k=3 lets a capped count skip the bound
+        monkeypatch.setattr(solve, "MAX_PERFECT_MATCHINGS", 100)
+        inst = random_instance(4, 4, 3, 1.0)  # 6^3 = 216 perfect matchings
+        with pytest.raises(SpaceTooLargeError, match="216 perfect matchings"):
+            count_weakly_stable(inst, limit=1)
+        assert count_weakly_stable(random_instance(4, 3, 4, 1.0), limit=1) == 1
 
     def test_count_matchings_against_oracle(self):
         rng = random.Random(11)
