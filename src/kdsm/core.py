@@ -92,7 +92,7 @@ def space_within(required: int | tuple[int, int], bound: int) -> bool:
 def check_space(what: str, required: int | tuple[int, int], bound: int) -> None:
     """Raise SpaceTooLargeError saying "<required> <what> exceed the bound <bound>"
     unless :func:`space_within`. A count of 10,000 bits or more reads
-    "over 2^<b>", b below its log2, as str() refuses an int of more than
+    "over 2^<b>", b at most its log2, as str() refuses an int of more than
     ~4,300 digits; a power that large is refused without computing it."""
     if space_within(required, bound):
         return

@@ -238,6 +238,7 @@ def _scan_complete(inst: Instance, limit: int | None = None) -> int:
 
     # every type-0 agent reaches itself
     walk(0, [1 << a for a in range(n)], range(n))
+    del walk  # walk refers to itself: clearing it frees it without the cyclic GC
     return count
 
 
