@@ -62,6 +62,10 @@ class SpaceTooLargeError(KdsmError):
         self.bound = bound
         self._required = required
 
+    def __reduce__(self):
+        # by default only the message is pickled, so a pool worker's error would not load
+        return type(self), (self.args[0], self.bound, self._required)
+
     @property
     def required(self) -> int:
         if isinstance(self._required, tuple):

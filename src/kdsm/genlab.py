@@ -58,13 +58,14 @@ from .reductions import (
 )
 from .solve import (
     _check_family_bound,
-    count_matchings,
+    _matchings,
     count_weakly_stable,
     enumerate_weakly_stable,
 )
 from .verify import (
     find_blocking_cycle,
     find_blocking_naive,
+    first_blocker,
     is_strongly_blocking,
     is_weakly_stable,
 )
@@ -245,13 +246,14 @@ def _shrink_counterexample(inst: Instance) -> Instance:
 def certify_no_stable(inst: Instance) -> Certificate:
     """Exhaustively enumerate the matching space and certify zero stable matchings.
 
-    Raises ArgumentError when ``inst`` has a weakly stable matching.
+    Raises ArgumentError at the first weakly stable matching of ``inst``.
     """
     fams = _check_family_bound(inst)
-    total = count_matchings(inst)
-    stable = len(enumerate_weakly_stable(inst))
-    if stable != 0:
-        raise ArgumentError("instance has weakly stable matchings; nothing to certify")
+    total = 0
+    for _chosen, rows in _matchings(inst, False):
+        if first_blocker(inst, rows) is None:
+            raise ArgumentError("instance has weakly stable matchings; nothing to certify")
+        total += 1
     return Certificate(
         digest=instance_digest(inst),
         families=len(fams),

@@ -12,9 +12,10 @@ blocking family).
 Counting on a complete instance with n >= 1, for every k, is one
 permutation scan (``_scan_complete``): a perfect matching is one
 permutation per type 1..k-1, and bitmask arithmetic on the instance's
-"better than" table decides each without building it. The
-perfect-matching enumerator stays for ``enumerate_weakly_stable``, whose
-canonical order it gives, and as the scan's oracle in the tests.
+"better than" table decides each without building it. Enumeration and
+``count_matchings`` walk the matching space with one subset walk
+(``_matchings``), which gives the canonical order and, restricted to
+perfect matchings, serves as the scan's oracle in the tests.
 
 The budgeted solver is a backtracking search over per-type-0-agent
 decisions (join a family or stay unmatched). A decision is abandoned as
@@ -23,15 +24,14 @@ k members' assignments finalized; such a family can never be repaired
 deeper in the branch. A blocked complete candidate backjumps to the
 deepest level that finalized a member of its blocking family.
 
-The enumerators and the budgeted solver hold their current matching in
+The subset walk and the budgeted solver hold their current matching in
 the partner-row form of :mod:`kdsm.verify` (``rows[t][i]`` is the partner
-index of agent (t, i), -1 when unmatched), read the same bitmask table
-and test complete candidates with the naive verifier's first-blocker scan.
-The perfect-matching enumerator and the budgeted solver also keep a free
-mask per type, the bitmask of its unmatched agents, updated on every
-commit and undo. Every family comes from ``verify.lex_families``; the
-open families of a decision are those over the acceptable masks restricted
-to the free masks and one type-0 start.
+index of agent (t, i), -1 when unmatched), keep a free mask per type, the
+bitmask of its unmatched agents, updated on every commit and undo, read
+the same bitmask table and test complete candidates with the naive
+verifier's first-blocker scan. Every family comes from
+``verify.lex_families``; the open families of a step are those over the
+acceptable masks restricted to the free masks and its type-0 starts.
 """
 
 from __future__ import annotations
@@ -103,40 +103,6 @@ def _check_perfect_bound(inst: Instance) -> None:
     check_space(
         "perfect matchings", math.factorial(inst.n) ** (inst.k - 1), MAX_PERFECT_MATCHINGS
     )
-
-
-def _set_family(rows: list[list[int]], fam: tuple[int, ...], matched: bool) -> None:
-    """Record ``fam`` in the partner rows, or clear it when ``matched`` is false."""
-    k = len(fam)
-    for t in range(k):
-        rows[t][fam[t]] = fam[(t + 1) % k] if matched else -1
-
-
-def _disjoint_subsets(
-    inst: Instance, fams: list[tuple[int, ...]]
-) -> Iterator[tuple[list[tuple[int, ...]], list[list[int]]]]:
-    """Every agent-disjoint subset of ``fams`` with its partner rows.
-
-    Depth-first in canonical order: subsets extend in ascending ``fams``
-    index. The yielded list and rows are reused; read them before resuming.
-    """
-    k = inst.k
-    rows = [[-1] * inst.n for _ in range(k)]
-    cur: list[tuple[int, ...]] = []
-
-    def rec(start: int) -> Iterator[tuple[list[tuple[int, ...]], list[list[int]]]]:
-        yield cur, rows
-        for idx in range(start, len(fams)):
-            f = fams[idx]
-            if any(rows[t][f[t]] >= 0 for t in range(k)):
-                continue
-            cur.append(f)
-            _set_family(rows, f, True)
-            yield from rec(idx + 1)
-            _set_family(rows, f, False)
-            cur.pop()
-
-    yield from rec(0)
 
 
 # the permutations of range(n) with their inverses are cached per n up to
@@ -242,31 +208,41 @@ def _scan_complete(inst: Instance, limit: int | None = None) -> int:
     return count
 
 
-def _enumerate_perfect(inst: Instance) -> Iterator[Matching]:
-    """Weakly stable perfect matchings in canonical order (complete instances)."""
+def _matchings(
+    inst: Instance, perfect: bool
+) -> Iterator[tuple[list[tuple[int, ...]], list[list[int]]]]:
+    """Every matching (only the perfect ones with ``perfect``) with its partner
+    rows, in canonical order: ascending tuples of families, a matching before
+    its extensions. The next family starts at any type-0 agent after the last
+    family's, or with ``perfect`` at exactly the next one. The yielded list
+    and rows are reused; read them before resuming.
+    """
     k, n = inst.k, inst.n
     acc = improvement_masks(inst, [[-1] * n] * k)  # acceptable masks
     rows = [[-1] * n for _ in range(k)]
-    free = [(1 << n) - 1] * k
+    free = [(1 << n) - 1] * k  # per type, the bitmask of unmatched agents
     chosen: list[tuple[int, ...]] = []
-
-    def assign(i0: int) -> Iterator[Matching]:
-        if i0 == n:
-            if first_blocker(inst, rows) is None:
-                yield Matching.of(chosen)
-            return
-        for fam in lex_families(acc, free, (i0,)):
-            chosen.append(fam)
-            _set_family(rows, fam, True)
-            for t in range(k):
-                free[t] ^= 1 << fam[t]
-            yield from assign(i0 + 1)
-            for t in range(k):
-                free[t] ^= 1 << fam[t]
-            _set_family(rows, fam, False)
-            chosen.pop()
-
-    yield from assign(0)
+    walks: list[Iterator[tuple[int, ...]]] = []  # one per chosen family, plus the next
+    start = 0
+    while True:
+        if not perfect or len(chosen) == n:
+            yield chosen, rows
+        starts = range(start, n)
+        walks.append(lex_families(acc, free, starts[:1] if perfect else starts))
+        # the next family of the deepest walk with one left; every family
+        # whose walk ends is undone, which restores the free masks it read
+        while (fam := next(walks[-1], None)) is None:
+            walks.pop()
+            if not walks:
+                return
+            for t, i in enumerate(chosen.pop()):
+                rows[t][i] = -1
+                free[t] ^= 1 << i
+        chosen.append(fam)
+        for t, i in enumerate(fam):
+            rows[t][i] = fam[(t + 1) % k]
+            free[t] ^= 1 << i
+        start = fam[0] + 1
 
 
 def enumerate_weakly_stable(inst: Instance, limit: int | None = None) -> list[Matching]:
@@ -275,16 +251,16 @@ def enumerate_weakly_stable(inst: Instance, limit: int | None = None) -> list[Ma
     Raises SpaceTooLargeError when the candidate-family space (or, for
     complete instances, the perfect-matching space) exceeds its bound.
     """
-    if inst.is_complete and inst.n >= 1:
+    perfect = inst.is_complete and inst.n >= 1
+    if perfect:
         _check_perfect_bound(inst)
-        stable = _enumerate_perfect(inst)
     else:
-        fams = _check_family_bound(inst)
-        stable = (
-            Matching.of(cur)
-            for cur, rows in _disjoint_subsets(inst, fams)
-            if first_blocker(inst, rows) is None
-        )
+        _check_family_bound(inst)
+    stable = (
+        Matching.of(chosen)
+        for chosen, rows in _matchings(inst, perfect)
+        if first_blocker(inst, rows) is None
+    )
     if limit is not None:
         stable = islice(stable, max(limit, 0))
     return list(stable)
@@ -292,8 +268,8 @@ def enumerate_weakly_stable(inst: Instance, limit: int | None = None) -> list[Ma
 
 def count_matchings(inst: Instance) -> int:
     """Total number of matchings (all agent-disjoint family subsets)."""
-    fams = _check_family_bound(inst)
-    return sum(1 for _ in _disjoint_subsets(inst, fams))
+    _check_family_bound(inst)
+    return sum(1 for _ in _matchings(inst, False))
 
 
 def count_weakly_stable(inst: Instance, limit: int | None = None) -> int:
@@ -315,6 +291,10 @@ def count_weakly_stable(inst: Instance, limit: int | None = None) -> int:
             _check_perfect_bound(inst)
         return _scan_complete(inst, limit)
     return len(enumerate_weakly_stable(inst, limit))
+
+
+class _Stop(Exception):
+    """Ends the budgeted search: a stable leaf, or the budget spent."""
 
 
 def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOutcome:
@@ -389,9 +369,6 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
             if walk(0, t, anchor):
                 return True
         return False
-
-    class _Stop(Exception):
-        pass
 
     found: list[Matching] = []
 

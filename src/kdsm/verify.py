@@ -19,7 +19,8 @@ instance, so both raise InvalidFamilyError on the same input. Both must
 agree on the verdict; witnesses may differ. ``auto`` is the cycle method;
 the naive scan stays as the solvers' leaf test and the oracle of
 ``verifier-equivalence``. The same partner rows, table and family walker
-``lex_families`` serve the solvers in :mod:`kdsm.solve`.
+``lex_families`` serve the matching walk and the budgeted search of
+:mod:`kdsm.solve`.
 """
 
 from __future__ import annotations
@@ -77,28 +78,38 @@ def lex_families(
     over ``starts`` and f[t] over ``masks[t - 1][f[t - 1]] & free[t]`` for
     t >= 1; None restricts nothing. Each level reads ``free`` as it starts,
     so callers may change it while suspended if they restore it first.
+    One loop over a per-level candidate stack: a call leaves no reference cycle.
     """
     k = len(masks)
     free = [-1] * k if free is None else free  # -1: every bit set
     starts = range(len(masks[0])) if starts is None else starts
-    closing = masks[k - 1]
+    last = k - 1
+    closing = masks[last]
     members = [0] * k
-
-    def extend(t: int) -> Iterator[tuple[int, ...]]:
-        last = t == k - 1
-        cand = masks[t - 1][members[t - 1]] & free[t]
-        while cand:  # the set bits in ascending order, inlined: this is the hot loop
-            low = cand & -cand
-            cand ^= low
-            j = members[t] = low.bit_length() - 1
-            if not last:
-                yield from extend(t + 1)
-            elif closing[j] >> members[0] & 1:
-                yield tuple(members)
-
+    cands = [0] * k  # per level, the candidates not yet tried
     for i0 in starts:
         members[0] = i0
-        yield from extend(1)
+        cands[1] = masks[0][i0] & free[1]
+        t = 1
+        while t:
+            cand = cands[t]
+            if t == last:
+                while cand:  # the set bits in ascending order, inlined: this is the hot loop
+                    low = cand & -cand
+                    cand ^= low
+                    j = low.bit_length() - 1
+                    if closing[j] >> i0 & 1:
+                        members[last] = j
+                        yield tuple(members)
+                t -= 1
+            elif cand:
+                low = cand & -cand
+                cands[t] = cand ^ low
+                j = members[t] = low.bit_length() - 1
+                t += 1
+                cands[t] = masks[t - 1][j] & free[t]
+            else:
+                t -= 1
 
 
 def first_blocker(inst: Instance, rows: list[list[int]]) -> tuple[int, ...] | None:

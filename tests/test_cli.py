@@ -1,4 +1,8 @@
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -285,6 +289,19 @@ class TestExperimentCmd:
         code, _, err = run(capsys, "experiment", "--id", "verifier-equivalence",
                            "--samples", "1", "--threads", "2")
         assert code == 2 and "does not take threads" in err
+
+    def test_space_bound_in_a_pool_exit_three(self):
+        # the worker's SpaceTooLargeError must reach the parent, not hang the pool
+        env = {k: v for k, v in os.environ.items() if not k.startswith("KDSM_")}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from kdsm.cli import entry; entry()", "experiment",
+             "--id", "boros-bound", "--k", "4", "--n", "6", "--samples", "4", "--threads", "2"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3
+        assert "error: 373248000 perfect matchings exceed the bound" in proc.stderr
 
     def test_deterministic_report_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

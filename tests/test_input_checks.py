@@ -10,6 +10,7 @@ check, and it runs before anything is drawn or built.
 from __future__ import annotations
 
 import inspect
+import pickle
 import re
 import time
 from math import factorial, perm
@@ -206,3 +207,13 @@ def test_a_huge_space_is_refused_from_its_size(monkeypatch):
     with pytest.raises(SpaceTooLargeError) as exc:
         enumerate_instances(3, 40, True)
     assert exc.value.required == count_instances(3, 40, True) == factorial(40) ** 120
+
+
+@pytest.mark.parametrize("n", [6, 2000])  # a count, and a power refused from its size
+def test_a_space_error_survives_pickling(n):
+    # a process pool pickles the error in the worker and loads it in the parent
+    with pytest.raises(SpaceTooLargeError) as exc:
+        enumerate_instances(3, n, True)
+    back = pickle.loads(pickle.dumps(exc.value))
+    assert type(back) is SpaceTooLargeError and str(back) == str(exc.value)
+    assert (back.bound, back._required) == (exc.value.bound, exc.value._required)

@@ -1,5 +1,6 @@
 import gc
 import random
+from functools import partial
 
 import pytest
 
@@ -45,15 +46,16 @@ class TestEnumerate:
         assert {tuple(f.members for f in m) for m in got} == want
 
     def test_matches_oracle_on_random_incomplete(self):
+        # the complete inputs pin the perfect-matching walk to the oracle; the
+        # canonical order is the sorted one
         rng = random.Random(3)
-        for _ in range(25):
-            inst = random_instance(rng.getrandbits(32), 3, rng.randint(0, 3), rng.choice((0.3, 0.6)))
+        cases = [(3, rng.randint(0, 3), rng.choice((0.3, 0.6))) for _ in range(25)]
+        cases += [(2, n, 1.0) for n in (1, 2, 3, 3)] + [(3, 2, 1.0)] * 3 + [(4, 2, 1.0)] * 2
+        for k, n, density in cases:
+            inst = random_instance(rng.getrandbits(32), k, n, density)
             want = sorted(tuple(sorted(m)) for m in oracle_stable_matchings(inst))
-            got = sorted(
-                tuple(sorted(f.members for f in m))
-                for m in enumerate_weakly_stable(inst)
-            )
-            assert got == want
+            got = [tuple(f.members for f in m) for m in enumerate_weakly_stable(inst)]
+            assert got == want, (k, n, density)
 
     def test_limit_zero_is_empty(self, rank0_first_instance, no_stable_instance):
         assert enumerate_weakly_stable(rank0_first_instance, limit=0) == []
@@ -77,6 +79,26 @@ class TestEnumerate:
 
     def test_no_stable_fixture_enumerates_empty(self, no_stable_instance):
         assert enumerate_weakly_stable(no_stable_instance) == []
+
+    def test_walks_leave_no_cyclic_garbage(self):
+        # the family and matching walks hold no self-reference, so every call
+        # frees what it built without the cyclic collector
+        incomplete = random_instance(5, 3, 4, 0.6)
+        complete = random_instance(5, 3, 3, 1.0)
+        calls = [lambda: find_blocking_naive(incomplete, Matching.of([])),
+                 lambda: count_matchings(incomplete)]
+        calls += [partial(enumerate_weakly_stable, inst, limit)
+                  for inst in (complete, incomplete) for limit in (None, 1)]
+        for inst in (incomplete, complete):
+            inst._better  # built once, outside the calls
+        gc.collect()
+        gc.disable()
+        try:
+            for call in calls:
+                call()
+                assert gc.collect() == 0, call
+        finally:
+            gc.enable()
 
 
 class TestCount:
@@ -173,9 +195,12 @@ class TestCount:
 
     def test_count_matchings_against_oracle(self):
         rng = random.Random(11)
-        for _ in range(15):
-            inst = random_instance(rng.getrandbits(32), 3, 2, rng.choice((0.4, 0.8)))
-            assert count_matchings(inst) == len(oracle_all_matchings(inst))
+        cases = [(3, 2, rng.choice((0.4, 0.8))) for _ in range(15)]
+        cases += [(2, 3, rng.choice((0.4, 0.8))) for _ in range(5)]
+        cases += [(4, 2, rng.choice((0.4, 0.8))) for _ in range(5)] + [(3, 2, 1.0)]
+        for k, n, density in cases:
+            inst = random_instance(rng.getrandbits(32), k, n, density)
+            assert count_matchings(inst) == len(oracle_all_matchings(inst)), (k, n, density)
 
 
 class TestFind:
