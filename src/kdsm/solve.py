@@ -3,11 +3,12 @@
 Enumeration is exact and desk-scale: it refuses to run, through
 ``core.check_space``, when the number of candidate families exceeds
 ``MAX_CANDIDATE_FAMILIES`` (or, on complete instances, the number of perfect
-matchings exceeds ``MAX_PERFECT_MATCHINGS``). On complete instances the
-enumeration restricts itself to perfect matchings, which is lossless
-because a weakly stable matching of a complete instance never leaves an
-agent unmatched (one unmatched agent per type would form a strongly
-blocking family).
+matchings exceeds ``MAX_PERFECT_MATCHINGS``), and otherwise stops with the
+same error once its walk passes ``MAX_CANDIDATE_FAMILIES`` matchings. On
+complete instances the enumeration restricts itself to perfect matchings,
+which is lossless because a weakly stable matching of a complete instance
+never leaves an agent unmatched (one unmatched agent per type would form a
+strongly blocking family).
 
 Counting on a complete instance with n >= 1, for every k, is one
 permutation scan (``_scan_complete``): a perfect matching is one
@@ -18,11 +19,14 @@ permutation per type 1..k-1, and bitmask arithmetic on the instance's
 perfect matchings, serves as the scan's oracle in the tests.
 
 The budgeted solver is a backtracking search over per-type-0-agent
-decisions (join a family or stay unmatched). A decision is abandoned as
-soon as a family through one of its agents is strongly blocking with all
-k members' assignments finalized; such a family can never be repaired
-deeper in the branch. A blocked complete candidate backjumps to the
-deepest level that finalized a member of its blocking family.
+decisions (join a family or stay unmatched), run as one loop over a stack
+of per-level decision iterators, the shape of ``_matchings``. A decision
+is abandoned as soon as a family through one of its agents is strongly
+blocking with all k members' assignments finalized; such a family can
+never be repaired deeper in the branch. A blocked complete candidate
+backjumps to the deepest level that finalized a member of its blocking
+family: the levels deeper than it are undone and popped. A stable leaf or the
+spent budget ends the loop with its status.
 
 The subset walk and the budgeted solver hold their current matching in
 the partner-row form of :mod:`kdsm.verify` (``rows[t][i]`` is the partner
@@ -215,7 +219,10 @@ def _matchings(
     rows, in canonical order: ascending tuples of families, a matching before
     its extensions. The next family starts at any type-0 agent after the last
     family's, or with ``perfect`` at exactly the next one. The yielded list
-    and rows are reused; read them before resuming.
+    and rows are reused; read them before resuming. Without ``perfect``, the
+    walk raises SpaceTooLargeError before its (MAX_CANDIDATE_FAMILIES + 1)-th
+    matching: every family is a one-family matching, so this bound is never
+    tighter than the family bound.
     """
     k, n = inst.k, inst.n
     acc = improvement_masks(inst, [[-1] * n] * k)  # acceptable masks
@@ -224,8 +231,13 @@ def _matchings(
     chosen: list[tuple[int, ...]] = []
     walks: list[Iterator[tuple[int, ...]]] = []  # one per chosen family, plus the next
     start = 0
+    walked = 0  # matchings yielded without ``perfect``
     while True:
-        if not perfect or len(chosen) == n:
+        if not perfect:
+            walked += 1
+            check_space("or more matchings", walked, MAX_CANDIDATE_FAMILIES)
+            yield chosen, rows
+        elif len(chosen) == n:
             yield chosen, rows
         starts = range(start, n)
         walks.append(lex_families(acc, free, starts[:1] if perfect else starts))
@@ -293,10 +305,6 @@ def count_weakly_stable(inst: Instance, limit: int | None = None) -> int:
     return len(enumerate_weakly_stable(inst, limit))
 
 
-class _Stop(Exception):
-    """Ends the budgeted search: a stable leaf, or the budget spent."""
-
-
 def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOutcome:
     """Search for one weakly stable matching under a node/time budget.
 
@@ -332,7 +340,6 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
     decided = 0  # type-0 agents with a final decision
     chosen: list[tuple[int, ...] | None] = [None] * n
     nodes = 0
-    out_of_budget = False
 
     # the anchored-blocker walk's anchor index and work left
     anchor = 0
@@ -360,80 +367,71 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
                 return True
         return False
 
-    def blocked(anchors: tuple[int, ...]) -> bool:
-        """Whether a blocking family through some (t, anchors[t]) closes among
-        finalized agents, each anchor's walk capped at PRUNE_WORK_CAP."""
-        nonlocal anchor, work
-        for t, anchor in enumerate(anchors):
+    # per level d, the decisions of type-0 agent d: the families through d
+    # in lexicographic order, then None: unmatched
+    levels = [chain(lex_families(acc, free, (0,)), (None,))]
+    back = n  # a pending backjump level: the levels deeper than it are undone and popped
+    status = SolveStatus.EXHAUSTED_NONE
+    while levels:
+        d = len(levels) - 1
+        fam = chosen[d]
+        if fam is not None:  # undo the level's last decision
+            chosen[d] = None
+            for t in range(k):
+                i = fam[t]
+                rows[t][i] = -1
+                free[t] ^= 1 << i
+        if d > back:
+            levels.pop()
+            continue
+        back = n  # no jump pending from here on
+        fam = next(levels[d], False)
+        if fam is False:  # every decision of the level is tried
+            levels.pop()
+            continue
+        nodes += 1
+        if nodes >= max_nodes or (not nodes & 0x3FF and time.perf_counter() > deadline):
+            status = SolveStatus.BUDGET_EXCEEDED
+            break
+        decided = d + 1
+        if fam is not None:
+            for t in range(k):
+                i = fam[t]
+                rows[t][i] = fam[t + 1 if t + 1 < k else 0]
+                free[t] ^= 1 << i
+            chosen[d] = fam
+        # a blocking family through an agent of this decision (its family, or
+        # d alone) closing among finalized agents, each anchor's walk capped
+        # at PRUNE_WORK_CAP, holds an agent finalized at level d, so it never
+        # jumps back: the next decision of the level follows
+        for t, anchor in enumerate(fam or (d,)):
             work = PRUNE_WORK_CAP
             if walk(0, t, anchor):
-                return True
-        return False
-
-    found: list[Matching] = []
-
-    def search(d: int) -> int | None:
-        """Explore decisions for type-0 agent d; return a backjump level or None."""
-        nonlocal decided, nodes, out_of_budget
-        if d == n:
+                break
+        else:
+            if decided < n:
+                levels.append(chain(lex_families(acc, free, (decided,)), (None,)))
+                continue
             blk = first_blocker(inst, rows)
             if blk is None:
-                found.append(Matching.of([f for f in chosen if f is not None]))
-                raise _Stop
+                status = SolveStatus.FOUND
+                break
             # back to the deepest level that finalized a member: a type-0
             # agent's own index, a matched agent's family's type-0 member;
             # n - 1 while a member of another type is unmatched
-            lvl = blk[0]
+            back = blk[0]
             for t in range(1, k):
                 x = blk[t]
                 if rows[t][x] < 0:
-                    return n - 1
+                    back = n - 1
+                    break
                 for s in range(t, k):
                     x = rows[s][x]
-                if x > lvl:
-                    lvl = x
-            return lvl
+                back = max(back, x)
+    del walk  # walk refers to itself: clearing it frees it without the cyclic GC
 
-        # the families through d in lexicographic order, then None: unmatched
-        for fam in chain(lex_families(acc, free, (d,)), (None,)):
-            nodes += 1
-            if nodes >= max_nodes or (
-                not nodes & 0x3FF and time.perf_counter() > deadline
-            ):
-                out_of_budget = True
-                raise _Stop
-            decided = d + 1
-            if fam is not None:
-                for t in range(k):
-                    i = fam[t]
-                    rows[t][i] = fam[t + 1 if t + 1 < k else 0]
-                    free[t] ^= 1 << i
-                chosen[d] = fam
-            # a blocking family through an agent of this decision (its family,
-            # or d alone) holds an agent finalized at level d, so it never
-            # jumps back: the next decision follows
-            jump = None if blocked(fam or (d,)) else search(d + 1)
-            decided = d
-            if fam is not None:
-                chosen[d] = None
-                for t in range(k):
-                    i = fam[t]
-                    rows[t][i] = -1
-                    free[t] ^= 1 << i
-            if jump is not None and jump < d:
-                return jump
-        return None
-
-    try:
-        search(0)
-        status = SolveStatus.EXHAUSTED_NONE
-    except _Stop:
-        status = SolveStatus.BUDGET_EXCEEDED if out_of_budget else SolveStatus.FOUND
-
+    m = Matching.of([f for f in chosen if f is not None]) if status is SolveStatus.FOUND else None
     elapsed = time.perf_counter() - t_start
-    if found:
-        m = found[0]
-        if find_blocking_naive(inst, m) is not None:
-            raise RuntimeError("solver leaf passed a blocked matching")
-        return SolveOutcome(SolveStatus.FOUND, m, nodes, elapsed)
-    return SolveOutcome(status, None, nodes, elapsed)
+    if m is not None and find_blocking_naive(inst, m) is not None:
+        raise RuntimeError("solver leaf passed a blocked matching")
+    return SolveOutcome(status, m, nodes, elapsed)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from kdsm import parse_instance, parse_matching
+from kdsm import parse_instance, parse_matching, solve
 from kdsm.cli import build_parser, main
 
 
@@ -139,6 +139,24 @@ class TestSolve:
         assert run(capsys, "gen", "--k", "3", "--n", "60", "--seed", "1", "--out", str(big))[0] == 0
         code, _out, err = run(capsys, "solve", str(big), "--mode", "count")
         assert code == 3 and "bound" in err
+
+    def test_matching_walk_bound_exit_three(self, tmp_path, capsys, monkeypatch):
+        # few enough families for the family bound, too many matchings for the walk
+        monkeypatch.setattr(solve, "MAX_CANDIDATE_FAMILIES", 10_000)
+        wide = tmp_path / "wide.kdsm"
+        argv = ("--k", "3", "--n", "40", "--seed", "1", "--density", "0.5", "--out", str(wide))
+        assert run(capsys, "gen", *argv)[0] == 0
+        code, out, err = run(capsys, "solve", str(wide), "--mode", "count")
+        assert code == 3 and out == ""
+        assert "error: 10001 or more matchings exceed the bound 10000" in err.splitlines()
+
+    def test_find_past_the_recursion_limit(self, tmp_path, capsys):
+        sparse = tmp_path / "sparse.kdsm"
+        argv = ("--k", "2", "--n", "1100", "--seed", "3", "--density", "0.003", "--out", str(sparse))
+        assert run(capsys, "gen", *argv)[0] == 0
+        code, out, _ = run(capsys, "solve", str(sparse), "--mode", "find")
+        assert code == 0
+        assert out.splitlines()[:2] == ["FOUND", "nodes 1100"]
 
 
 class TestReduceInduce:

@@ -19,6 +19,7 @@ from kdsm import (
     find_blocking_cycle,
     find_blocking_naive,
     find_weakly_stable,
+    is_weakly_stable,
     random_instance,
 )
 from kdsm import solve
@@ -77,19 +78,35 @@ class TestEnumerate:
             enumerate_weakly_stable(big)
         assert exc.value.required > exc.value.bound
 
+    def test_matching_walk_bound(self, monkeypatch):
+        # 8,098 families pass the family bound, but the matchings over them
+        # run far past it: the walk raises before its (bound + 1)-th matching
+        monkeypatch.setattr(solve, "MAX_CANDIDATE_FAMILIES", 10_000)
+        inst = random_instance(1, 3, 40, 0.5)
+        for call in (partial(enumerate_weakly_stable, inst, limit=1),
+                     partial(count_weakly_stable, inst), partial(count_matchings, inst)):
+            with pytest.raises(SpaceTooLargeError, match="10001 or more matchings"):
+                call()
+
     def test_no_stable_fixture_enumerates_empty(self, no_stable_instance):
         assert enumerate_weakly_stable(no_stable_instance) == []
 
-    def test_walks_leave_no_cyclic_garbage(self):
-        # the family and matching walks hold no self-reference, so every call
-        # frees what it built without the cyclic collector
+    def test_walks_leave_no_cyclic_garbage(self, no_stable_instance):
+        # the family and matching walks and the budgeted solver hold no
+        # self-reference, so every call frees what it built without the
+        # cyclic collector
         incomplete = random_instance(5, 3, 4, 0.6)
         complete = random_instance(5, 3, 3, 1.0)
+        completed, _ = complete_instance(no_stable_instance)
         calls = [lambda: find_blocking_naive(incomplete, Matching.of([])),
                  lambda: count_matchings(incomplete)]
         calls += [partial(enumerate_weakly_stable, inst, limit)
                   for inst in (complete, incomplete) for limit in (None, 1)]
-        for inst in (incomplete, complete):
+        # one solver call per status: FOUND, EXHAUSTED-NONE, BUDGET-EXCEEDED
+        calls += [partial(find_weakly_stable, incomplete),
+                  partial(find_weakly_stable, no_stable_instance),
+                  partial(find_weakly_stable, completed, Budget(max_nodes=2_000))]
+        for inst in (incomplete, complete, no_stable_instance, completed):
             inst._better  # built once, outside the calls
         gc.collect()
         gc.disable()
@@ -287,6 +304,14 @@ class TestFind:
             out = find_weakly_stable(inst)
             assert out.status is SolveStatus.FOUND
             assert len(out.matching) == inst.n
+
+    def test_large_n_needs_no_recursion(self):
+        # one decision level per type-0 agent, held on a stack: an instance
+        # past the interpreter's recursion limit is searched like any other
+        inst = random_instance(3, 2, 1100, 0.003)
+        out = find_weakly_stable(inst)
+        assert (out.status, out.nodes_explored) == (SolveStatus.FOUND, 1100)
+        assert is_weakly_stable(inst, out.matching).stable
 
     def test_empty_instance(self):
         inst = random_instance(0, 3, 0, 1.0)
