@@ -13,7 +13,12 @@ strongly blocking family).
 Counting on a complete instance with n >= 1, for every k, is one
 permutation scan (``_scan_complete``): a perfect matching is one
 permutation per type 1..k-1, and bitmask arithmetic on the instance's
-"better than" table decides each without building it. Enumeration and
+"better than" table decides each without building it. The permutations
+of types 1..k-2 are walked on a stack, so k is not limited by Python's
+recursion limit. A full count with k >= 3 and n <= ``PERM_CACHE_MAX_N``
+decides all n! permutations of the last type at once: bit j of one int
+stands for the j-th, and per prefix one OR of precomputed rows gives the
+blocked ones (k=3, n=7 in ~40 ms). Enumeration and
 ``count_matchings`` walk the matching space with one subset walk
 (``_matchings``), which gives the canonical order and, restricted to
 perfect matchings, serves as the scan's oracle in the tests.
@@ -44,11 +49,11 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import chain, islice, permutations
-from operator import getitem
 from typing import Iterable, Iterator, Sequence
 
-from .core import Instance, KdsmError, Matching, check_space
+from .core import ArgumentError, Instance, KdsmError, Matching, check_space
 from .verify import (
     find_blocking_naive,
     first_blocker,
@@ -110,7 +115,8 @@ def _check_perfect_bound(inst: Instance) -> None:
 
 
 # the permutations of range(n) with their inverses are cached per n up to
-# this size (5,040 pairs at n = 7); a larger n walks them afresh each time
+# this size (5,040 pairs at n = 7), and a full count decides them all at
+# once, one bit each, up to it; a larger n walks them afresh each time
 PERM_CACHE_MAX_N = 7
 _PERMS: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
 
@@ -127,12 +133,46 @@ def _perms(n: int) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
     return pairs
 
 
-def _subset_or(rows: list[int]) -> list[int]:
-    """``table[s]``: the OR of ``rows[y]`` over the set bits y of s."""
-    table = [0]
-    for row in rows:
-        table += [m | row for m in table]
-    return table
+@cache
+def _last_masks(n: int) -> list[list[int]]:
+    """``at[a][v]``: the mask of the permutations of ``_perms(n)`` (bit j for
+    the j-th) that send a to v; only for n <= PERM_CACHE_MAX_N."""
+    at = [[0] * n for _ in range(n)]
+    for j, (tau, _) in enumerate(_perms(n)):
+        for a, v in enumerate(tau):
+            at[a][v] |= 1 << j
+    return at
+
+
+def _blocking_rows(inst: Instance) -> list[list[int]]:
+    """``blk[x*n + a][b]``: the mask of type-(k-1) permutations under which
+    (k-2, x), in type-0 agent a's family, closes a strongly blocking family
+    on type-0 agent b: x prefers some y to its partner and (k-1, y) prefers b
+    to its own. Walking each list from its end, the OR so far is the mask
+    under which the partner ranks below the current entry."""
+    k, n = inst.k, inst.n
+    at = _last_masks(n)
+    # closes[y][b]: the permutations under which (k-1, y) prefers b to its partner
+    closes = []
+    for y, lst in enumerate(inst.prefs[k - 1]):
+        row = [0] * n
+        below = 0
+        for b in reversed(lst):
+            row[b] = below
+            below |= at[b][y]
+        closes.append(row)
+    blk = []
+    for lst in inst.prefs[k - 2]:
+        for a in range(n):
+            row = [0] * n
+            below = 0
+            for y in reversed(lst):
+                if below:
+                    for b, c in enumerate(closes[y]):
+                        row[b] |= below & c
+                below |= at[a][y]
+            blk.append(row)
+    return blk
 
 
 def _scan_complete(inst: Instance, limit: int | None = None) -> int:
@@ -140,76 +180,76 @@ def _scan_complete(inst: Instance, limit: int | None = None) -> int:
 
     A perfect matching is one permutation per type t in 1..k-1, mapping
     each type-0 agent to its family's type-t member. The permutations of
-    types 1..k-2 are walked as a prefix, carrying per agent of the last
-    type reached the mask of type-0 agents whose improvement chains reach
-    it. Under a type-(k-1) permutation, (k-2, x) closes a strongly blocking
-    family iff the OR of the closing rows (per type-(k-1) agent, the type-0
-    agents it prefers to its partner) over x's improvement mask meets x's
-    mask. The closing rows depend only on the last permutation; a full
-    count with k >= 3 turns each into a subset-OR table once and reads it
-    under every prefix. The scan stops once ``limit`` (a positive count, or
-    None for all) stable matchings are found.
+    types 1..k-2 are walked as a prefix, one loop over a stack of
+    permutation walks, carrying per agent of the last type reached the mask
+    of type-0 agents whose improvement chains reach it. Under a
+    type-(k-1) permutation, (k-2, x) closes a strongly blocking family iff
+    one of the type-(k-1) agents it prefers to its partner prefers one of
+    those type-0 agents to its own. A full count with k >= 3 and
+    n <= PERM_CACHE_MAX_N decides all n! last permutations of a prefix at
+    once, one bit each, from the rows of ``_blocking_rows``; otherwise each
+    is decided in turn, and the scan stops once ``limit`` (a positive
+    count, or None for all) stable matchings are found.
     """
     k, n = inst.k, inst.n
     better = inst._better
     mid, close = better[k - 2], better[k - 1]
-    tables = None
+    blk = None
     if limit is None and k >= 3 and n <= PERM_CACHE_MAX_N:
-        tables = [
-            (tau, _subset_or(list(map(getitem, close, tinv)))) for tau, tinv in _perms(n)
-        ]
+        blk = _blocking_rows(inst)
+        last = math.factorial(n)
     count = 0
-
-    def walk(t: int, reach: list[int], pinv: Sequence[int]) -> bool:
-        """Scan every matching under the permutations chosen for types 1..t;
-        ``reach[x]`` is the mask of type-0 agents whose improvement chains
-        reach (t, x), ``pinv[x]`` the type-0 member of (t, x). True at the limit."""
-        nonlocal count
-        if t < k - 2:
-            rows = better[t]
-            for p, q in _perms(n):
-                # (t, x) passes its chains on to the agents it prefers to its partner
-                nxt = [0] * n
-                for x, r in enumerate(reach):
-                    m = rows[x][p[pinv[x]]]
-                    while m:
-                        low = m & -m
-                        nxt[low.bit_length() - 1] |= r
-                        m ^= low
-                if walk(t + 1, nxt, q):
-                    return True
-            return False
-        # (improvement row, type-0 family member, reach) of every x that can block
-        xs = [(mid[x], pinv[x], r) for x, r in enumerate(reach) if r]
-        if tables is not None:
-            for tau, tab in tables:
+    # every type-0 agent reaches itself; pinv[x] is the type-0 member of (t, x)
+    reach: list[int] = [1 << a for a in range(n)]
+    pinv: Sequence[int] = range(n)
+    # per type t in 1..k-2, its permutation walk with the reach and pinv of type t-1
+    walks: list[tuple[Iterator, list[int], Sequence[int]]] = []
+    while True:
+        if len(walks) < k - 2:
+            walks.append((iter(_perms(n)), reach, pinv))
+        elif blk is not None:
+            blocked = 0
+            for x, r in enumerate(reach):
+                row = blk[x * n + pinv[x]]
+                while r:
+                    low = r & -r
+                    blocked |= row[low.bit_length() - 1]
+                    r ^= low
+            count += last - blocked.bit_count()
+        else:
+            # (improvement row, type-0 family member, reach) of every x that can block
+            xs = [(mid[x], pinv[x], r) for x, r in enumerate(reach) if r]
+            for tau, tinv in _perms(n):
                 for row, a, r in xs:
-                    if tab[row[tau[a]]] & r:
+                    dm = row[tau[a]]
+                    u = 0
+                    while dm:
+                        low = dm & -dm
+                        y = low.bit_length() - 1
+                        u |= close[y][tinv[y]]
+                        dm ^= low
+                    if u & r:
                         break
                 else:
                     count += 1
-            return False
-        for tau, tinv in _perms(n):
-            for row, a, r in xs:
-                dm = row[tau[a]]
-                u = 0
-                while dm:
-                    low = dm & -dm
-                    y = low.bit_length() - 1
-                    u |= close[y][tinv[y]]
-                    dm ^= low
-                if u & r:
-                    break
-            else:
-                count += 1
-                if count == limit:
-                    return True
-        return False
-
-    # every type-0 agent reaches itself
-    walk(0, [1 << a for a in range(n)], range(n))
-    del walk  # walk refers to itself: clearing it frees it without the cyclic GC
-    return count
+                    if count == limit:
+                        return count
+        # the next permutation of the deepest walk with one left
+        while walks and (perm := next(walks[-1][0], None)) is None:
+            walks.pop()
+        if not walks:
+            return count
+        _, prev, prev_pinv = walks[-1]
+        rows = better[len(walks) - 1]
+        p, pinv = perm
+        # (t, x) passes its chains on to the agents it prefers to its partner
+        reach = [0] * n
+        for x, r in enumerate(prev):
+            m = rows[x][p[prev_pinv[x]]]
+            while m:
+                low = m & -m
+                reach[low.bit_length() - 1] |= r
+                m ^= low
 
 
 def _matchings(
@@ -257,12 +297,20 @@ def _matchings(
         start = fam[0] + 1
 
 
+def _check_limit(limit: int | None) -> None:
+    """Raise ArgumentError unless ``limit`` is None or an int (a bool is not)."""
+    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int)):
+        raise ArgumentError(f"limit must be an integer or None, got {limit!r}")
+
+
 def enumerate_weakly_stable(inst: Instance, limit: int | None = None) -> list[Matching]:
     """All weakly stable matchings of ``inst`` (up to ``limit``), canonical order.
 
-    Raises SpaceTooLargeError when the candidate-family space (or, for
-    complete instances, the perfect-matching space) exceeds its bound.
+    Raises ArgumentError unless ``limit`` is None or an int, and
+    SpaceTooLargeError when the candidate-family space (or, for complete
+    instances, the perfect-matching space) exceeds its bound.
     """
+    _check_limit(limit)
     perfect = inst.is_complete and inst.n >= 1
     if perfect:
         _check_perfect_bound(inst)
@@ -288,7 +336,8 @@ def count_weakly_stable(inst: Instance, limit: int | None = None) -> int:
     """Number of weakly stable matchings, exact, or capped at ``limit``.
 
     ``limit`` None counts them all; a positive ``limit`` stops at that many,
-    and ``limit <= 0`` returns 0. A complete instance with n >= 1 goes
+    ``limit <= 0`` returns 0, and any other ``limit`` than None or an int
+    raises ArgumentError. A complete instance with n >= 1 goes
     through the permutation scan, for every k. A full count checks the
     perfect-matching bounds first and raises SpaceTooLargeError past them;
     a capped count checks them too, except at k=3, where the scan stops at
@@ -296,6 +345,7 @@ def count_weakly_stable(inst: Instance, limit: int | None = None) -> int:
     goes through ``enumerate_weakly_stable``, which checks its bounds
     either way.
     """
+    _check_limit(limit)
     if limit is not None and limit <= 0:
         return 0
     if inst.is_complete and inst.n >= 1:

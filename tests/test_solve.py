@@ -3,8 +3,11 @@ import random
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdsm import (
+    ArgumentError,
     Budget,
     Instance,
     KdsmError,
@@ -145,7 +148,7 @@ class TestCount:
 
     def test_scan_without_the_permutation_cache(self, monkeypatch):
         # past PERM_CACHE_MAX_N the permutations are walked afresh and a
-        # full count reads the closing rows without tables
+        # full count decides the last permutations one at a time
         monkeypatch.setattr(solve, "PERM_CACHE_MAX_N", 2)
         monkeypatch.setattr(solve, "_PERMS", {})
         rng = random.Random(15)
@@ -155,6 +158,50 @@ class TestCount:
                 want = len(enumerate_weakly_stable(inst))
                 assert count_weakly_stable(inst) == want
                 assert count_weakly_stable(inst, limit=2) == min(2, want)
+
+    def test_bit_parallel_count_matches_the_lazy_scan(self, monkeypatch):
+        # a full count decides every last permutation at once up to
+        # PERM_CACHE_MAX_N; at 0 the same instances go one permutation at a time
+        rng = random.Random(16)
+        insts = [random_instance(rng.getrandbits(32), k, n, 1.0)
+                 for k, n in ((3, 5), (3, 6), (4, 4), (5, 3), (6, 2)) for _ in range(2)]
+        counts = [count_weakly_stable(inst) for inst in insts]
+        monkeypatch.setattr(solve, "PERM_CACHE_MAX_N", 0)
+        assert [count_weakly_stable(inst) for inst in insts] == counts
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_count_is_invariant_under_relabelling(self, data):
+        # renaming the agents of each type by its own permutation maps the
+        # weakly stable matchings one to one
+        k = data.draw(st.sampled_from((3, 4)), label="k")
+        n = data.draw(st.integers(1, 6 if k == 3 else 4), label="n")
+        inst = random_instance(data.draw(st.integers(0, 2**32 - 1), label="seed"), k, n, 1.0)
+        sigma = [data.draw(st.permutations(range(n)), label=f"sigma{t}") for t in range(k)]
+        prefs = [[()] * n for _ in range(k)]
+        for t in range(k):
+            nxt = sigma[(t + 1) % k]
+            for i, lst in enumerate(inst.prefs[t]):
+                prefs[t][sigma[t][i]] = tuple(nxt[j] for j in lst)
+        relabelled = Instance(k, n, tuple(map(tuple, prefs)))
+        assert count_weakly_stable(relabelled) == count_weakly_stable(inst)
+
+    def test_many_types_need_no_recursion(self):
+        # the permutations of types 1..k-2 are walked on a stack: k past the
+        # interpreter's recursion limit is scanned like any other
+        inst = random_instance(0, 1200, 1, 1.0)
+        assert count_weakly_stable(inst) == count_weakly_stable(inst, limit=1) == 1
+        assert len(enumerate_weakly_stable(inst)) == 1
+
+    @pytest.mark.parametrize("limit", [1.5, 2.0, "2", True])
+    def test_a_non_integer_limit_is_refused(self, limit):
+        # a complete instance goes through the scan, an incomplete one through
+        # enumeration; neither takes a limit that is not an int
+        for density in (1.0, 0.6):
+            inst = random_instance(1, 3, 4, density)
+            for call in (count_weakly_stable, enumerate_weakly_stable):
+                with pytest.raises(ArgumentError, match="limit must be an integer or None"):
+                    call(inst, limit=limit)
 
     def test_scan_leaves_no_cyclic_garbage(self):
         # a reference cycle per call would keep each instance's table alive
