@@ -18,10 +18,10 @@ of types 1..k-2 are walked on a stack, so k is not limited by Python's
 recursion limit. A full count with k >= 3 and n <= ``PERM_CACHE_MAX_N``
 decides all n! permutations of the last type at once: bit j of one int
 stands for the j-th, and per prefix one OR of precomputed rows gives the
-blocked ones (k=3, n=7 in ~40 ms). Enumeration and
-``count_matchings`` walk the matching space with one subset walk
-(``_matchings``), which gives the canonical order and, restricted to
-perfect matchings, serves as the scan's oracle in the tests.
+blocked ones. Enumeration and ``count_matchings`` walk the matching space
+with one subset walk (``_matchings``), which gives the canonical order
+and, restricted to perfect matchings, serves as the scan's oracle in the
+tests.
 
 The budgeted solver is a backtracking search over per-type-0-agent
 decisions (join a family or stay unmatched), run as one loop over a stack
