@@ -11,7 +11,9 @@ decides each input check in one place for every module: building
 ``Instance._better`` checks the lists (:func:`validate_instance` is its
 report form), :func:`check_dims` the dimensions, :func:`check_space` an
 exhaustive space against its fixed bound, and :func:`matching_rows` whether
-a matching fits.
+a matching fits. It also holds the shared permutations of range(n) for n up
+to ``PERM_CACHE_MAX_N`` (:func:`shared_permutations`), whose ``_better`` rows
+and entry text are built once.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -75,7 +78,10 @@ class SpaceTooLargeError(KdsmError):
 
 
 def check_dims(k: int, n: int, min_k: int = 2) -> None:
-    """Raise DimensionError unless k >= ``min_k`` types and n >= 0 agents per type."""
+    """Raise DimensionError unless k >= ``min_k`` types and n >= 0 agents per
+    type, both ints (a bool is not)."""
+    if type(k) is not int or type(n) is not int:
+        raise DimensionError(f"dimensions must be integers, got k={k!r}, n={n!r}")
     if k < min_k or n < 0:
         raise DimensionError(f"invalid dimensions k={k}, n={n}")
 
@@ -113,6 +119,38 @@ def check_space(what: str, required: int | tuple[int, int], bound: int) -> None:
     raise SpaceTooLargeError(
         f"{count} {what} exceed the bound {bound}", bound=bound, required=required
     )
+
+
+# Every permutation of range(n), for n up to this size, is one shared tuple
+# (5,040 at n = 7); the library's own generators emit these objects.
+# ``Instance._better`` and ``serialize_instance`` look a list up by its id in
+# the table of the instance's own n, so only that exact object hits, never an
+# equal list such as (0.0, 1, 2), and a tuple of another n gets its own row.
+# The table holds each tuple, so its id is never reused.
+PERM_CACHE_MAX_N = 7
+_PERMS: dict[int, list[tuple[int, ...]]] = {}
+# per n, by id: (the tuple, its immutable _better row, its entry text)
+_PERM_ENTRIES: dict[int, dict[int, tuple[tuple[int, ...], tuple[int, ...], str]]] = {}
+
+
+def shared_permutations(n: int) -> list[tuple[int, ...]]:
+    """The shared permutations of range(n), n <= ``PERM_CACHE_MAX_N``, in
+    lexicographic order."""
+    perms = _PERMS.get(n)
+    if perms is None:
+        perms = list(permutations(range(n)))
+        entries = {}
+        for p in perms:
+            row = [0] * (n + 1)
+            acc = 0
+            for x in p:
+                row[x] = acc
+                acc |= 1 << x
+            row[n] = acc
+            entries[id(p)] = (p, tuple(row), " ".join(map(str, p)))
+        _PERMS[n] = perms
+        _PERM_ENTRIES[n] = entries
+    return perms
 
 
 class AgentRef(NamedTuple):
@@ -171,14 +209,20 @@ class Instance:
         # listed entries: an unlisted partner is no better than none. Building
         # it is the one list check: InvalidInstanceError names the first entry,
         # in (t, i) order, outside [0, n) or repeated, or the first list with a
-        # non-integer entry.
+        # non-integer entry. A shared permutation of this n is valid and
+        # brings its row.
         n = self.n
+        entries = _PERM_ENTRIES.get(n, {})
         full = (1 << n) - 1
         bit = [1 << x for x in range(n)]
         table = []
         for row in self.prefs:
             masks_row = []
             for lst in row:
+                hit = entries.get(id(lst))
+                if hit is not None:
+                    masks_row.append(hit[1])
+                    continue
                 masks = [0] * (n + 1)
                 acc = 0
                 # (t, i) counts the rows and lists built so far
@@ -212,7 +256,8 @@ class Instance:
 
     @cached_property
     def is_complete(self) -> bool:
-        return all(len(lst) == self.n for row in self.prefs for lst in row)
+        n = self.n
+        return all(len(lst) == n for row in self.prefs for lst in row)
 
 
 @dataclass(frozen=True, order=True)
@@ -372,9 +417,12 @@ MATCHING_HEADER = "KDSM-MATCHING 1"
 
 def serialize_instance(inst: Instance) -> str:
     lines = [INSTANCE_HEADER, f"k {inst.k}", f"n {inst.n}"]
+    entries = _PERM_ENTRIES.get(inst.n, {})
     for t, row in enumerate(inst.prefs):
         for i, lst in enumerate(row):
-            lines.append(f"pref {t} {i} : {' '.join(map(str, lst))}" if lst else f"pref {t} {i} :")
+            hit = entries.get(id(lst))
+            text = hit[2] if hit is not None else " ".join(map(str, lst))
+            lines.append(f"pref {t} {i} : {text}" if lst else f"pref {t} {i} :")
     lines.append("")  # the final newline
     return "\n".join(lines)
 

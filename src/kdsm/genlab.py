@@ -9,7 +9,15 @@ given seed on any platform running the same Python series.
 ``random_instance`` consumes its stream in a fixed order: for each agent in
 increasing (t, i) order it draws n uniform floats (one inclusion test per
 candidate, kept when the draw is below the density) and then shuffles the
-kept candidates in place.
+kept candidates in place with kdsm's own Fisher–Yates, ``_shuffle``, which
+makes the draws of the stdlib's ``_randbelow``, so a change to the stdlib's
+``shuffle`` cannot move the stream. At density 1 and n <=
+``PERM_CACHE_MAX_N`` the n floats are read as one ``getrandbits(64 * n)``,
+the same 2n words, and each list is the shared permutation of
+``core.shared_permutations`` that the shuffle's draws select.
+``enumerate_instances`` and ``list_options`` emit the shared permutations
+too, so building ``Instance._better`` and serializing reuse their rows and
+text.
 
 Every experiment runs the same pipeline. Its runner yields one record per
 instance, ``(digest, detail, problem)``, with ``problem`` None when the
@@ -26,13 +34,15 @@ from __future__ import annotations
 import inspect
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import permutations, product
 from math import factorial, perm
 from multiprocessing import Pool
+from numbers import Real
 from typing import Callable, Iterable, Iterator
 
 from .core import (
+    PERM_CACHE_MAX_N,
     AgentRef,
     ArgumentError,
     DimensionError,
@@ -44,6 +54,7 @@ from .core import (
     check_space,
     instance_digest,
     serialize_matching,
+    shared_permutations,
     space_within,
 )
 from .reductions import (
@@ -88,30 +99,90 @@ class UnknownExperimentError(KdsmError):
     pass
 
 
+def _shuffle(rng: random.Random, x: list) -> None:
+    """Fisher–Yates in place with the draws of CPython 3.11's ``shuffle``: for
+    i from len(x) - 1 down to 1, j is a draw of (i + 1).bit_length() bits,
+    redrawn while it exceeds i, and x[i] swaps with x[j]."""
+    getrandbits = rng.getrandbits
+    for i in reversed(range(1, len(x))):
+        width = (i + 1).bit_length()
+        j = getrandbits(width)
+        while j > i:
+            j = getrandbits(width)
+        x[i], x[j] = x[j], x[i]
+
+
 def _random_list(rng: random.Random, n: int, density: float) -> tuple[int, ...]:
     sub = [c for c in range(n) if rng.random() < density]
-    rng.shuffle(sub)
+    _shuffle(rng, sub)
     return tuple(sub)
+
+
+@cache
+def _shuffle_table(n: int) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
+    """The draws of :func:`_shuffle` on list(range(n)), n <= PERM_CACHE_MAX_N,
+    as (bound i + 1, bit width) from i = n - 1 down, and the shared
+    permutation it yields, by the draws read as a mixed-radix number."""
+    steps = [(i + 1, (i + 1).bit_length()) for i in reversed(range(1, n))]
+    shared = {p: p for p in shared_permutations(n)}
+    out = []
+    for draws in product(*(range(bound) for bound, _ in steps)):
+        x = list(range(n))
+        for i, j in zip(reversed(range(1, n)), draws):
+            x[i], x[j] = x[j], x[i]
+        out.append(shared[tuple(x)])
+    return steps, out
+
+
+def _check_seed(seed: int) -> None:
+    """Raise ArgumentError unless ``seed`` is an int (a bool is not)."""
+    if type(seed) is not int:
+        raise ArgumentError(f"seed must be an integer, got {seed!r}")
 
 
 def random_instance(seed: int, k: int, n: int, density: float = 1.0) -> Instance:
     """A seeded random instance; each list is a random permutation of a
     random subset holding each candidate independently with probability
     ``density`` (so density 1 yields a complete instance). Raises
-    DimensionError for k < 2 or n < 0, KdsmError for a density outside [0, 1]."""
+    DimensionError for k < 2, n < 0 or a non-int dimension, ArgumentError for
+    a seed that is not an int or a density that is not a real number, and
+    KdsmError for a density outside [0, 1]."""
     check_dims(k, n)
+    _check_seed(seed)
+    if not isinstance(density, Real):
+        raise ArgumentError(f"density must be a real number, got {density!r}")
     if not 0.0 <= density <= 1.0:
         raise KdsmError(f"density must be in [0, 1], got {density}")
     rng = random.Random(seed)
-    prefs = tuple(
-        tuple(_random_list(rng, n, density) for _i in range(n)) for _t in range(k)
-    )
-    return Instance(k, n, prefs)
+    if density != 1 or n > PERM_CACHE_MAX_N:
+        return Instance(k, n, tuple(
+            tuple(_random_list(rng, n, density) for _i in range(n)) for _t in range(k)
+        ))
+    # every candidate is kept: the n inclusion draws are 2n words, then each
+    # list is the shared permutation that _shuffle's draws select
+    getrandbits = rng.getrandbits
+    steps, perms = _shuffle_table(n)
+    skip = 64 * n
+    prefs = []
+    for _t in range(k):
+        row = []
+        for _i in range(n):
+            getrandbits(skip)
+            idx = 0
+            for bound, width in steps:
+                j = getrandbits(width)
+                while j >= bound:
+                    j = getrandbits(width)
+                idx = idx * bound + j
+            row.append(perms[idx])
+        prefs.append(tuple(row))
+    return Instance(k, n, tuple(prefs))
 
 
 def random_matching(inst: Instance, seed: int, keep: float = 0.7) -> Matching:
     """A seeded random valid matching: candidate families are shuffled and
     greedily kept with probability ``keep`` when agent-disjoint."""
+    _check_seed(seed)
     fams = _check_family_bound(inst)
     rng = random.Random(seed)
     rng.shuffle(fams)
@@ -134,12 +205,10 @@ def list_options(n: int, complete: bool) -> list[tuple[int, ...]]:
     Complete: all permutations, lexicographic. Incomplete: every ordered
     sublist, shortest first and lexicographic within a length.
     """
+    full = shared_permutations(n) if n <= PERM_CACHE_MAX_N else list(permutations(range(n)))
     if complete:
-        return list(permutations(range(n)))
-    out: list[tuple[int, ...]] = []
-    for size in range(n + 1):
-        out.extend(permutations(range(n), size))
-    return out
+        return list(full)
+    return [p for size in range(n) for p in permutations(range(n), size)] + full
 
 
 def _instance_space(k: int, n: int, complete: bool) -> tuple[int, int]:
@@ -165,11 +234,8 @@ def enumerate_instances(k: int, n: int, complete: bool) -> Iterator[Instance]:
     refused from its size, without computing its count.
     """
     check_space("instances", _instance_space(k, n, complete), MAX_INSTANCES)
-    opts = list_options(n, complete)
-    return (
-        Instance(k, n, tuple(tuple(opts[combo[t * n + i]] for i in range(n)) for t in range(k)))
-        for combo in product(range(len(opts)), repeat=k * n)
-    )
+    rows = product(list_options(n, complete), repeat=n)
+    return (Instance(k, n, prefs) for prefs in product(rows, repeat=k))
 
 
 @dataclass(frozen=True)

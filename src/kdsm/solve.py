@@ -53,7 +53,15 @@ from functools import cache
 from itertools import chain, islice, permutations
 from typing import Iterable, Iterator, Sequence
 
-from .core import ArgumentError, Instance, KdsmError, Matching, check_space
+from .core import (
+    PERM_CACHE_MAX_N,
+    ArgumentError,
+    Instance,
+    KdsmError,
+    Matching,
+    check_space,
+    shared_permutations,
+)
 from .verify import (
     find_blocking_naive,
     first_blocker,
@@ -114,10 +122,9 @@ def _check_perfect_bound(inst: Instance) -> None:
     )
 
 
-# the permutations of range(n) with their inverses are cached per n up to
-# this size (5,040 pairs at n = 7), and a full count decides them all at
-# once, one bit each, up to it; a larger n walks them afresh each time
-PERM_CACHE_MAX_N = 7
+# up to core's PERM_CACHE_MAX_N the shared permutations of range(n) are
+# paired with their inverses once per n, and a full count decides them all
+# at once, one bit each; a larger n walks them afresh each time
 _PERMS: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
 
 
@@ -125,10 +132,12 @@ def _perms(n: int) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every permutation of range(n) with its inverse, in lexicographic order."""
     pairs = _PERMS.get(n)
     if pairs is None:
+        cached = n <= PERM_CACHE_MAX_N
         pairs = (
-            (p, tuple(sorted(range(n), key=p.__getitem__))) for p in permutations(range(n))
+            (p, tuple(sorted(range(n), key=p.__getitem__)))
+            for p in (shared_permutations(n) if cached else permutations(range(n)))
         )
-        if n <= PERM_CACHE_MAX_N:
+        if cached:
             pairs = _PERMS[n] = list(pairs)
     return pairs
 

@@ -102,6 +102,22 @@ def mutate_instance(inst: Instance, seed: int, density: float = 0.5) -> Instance
     return Instance(inst.k, inst.n, tuple(tuple(row) for row in prefs))
 
 
+def oracle_random_instance(seed: int, k: int, n: int, density: float = 1.0) -> Instance:
+    """``random_instance``'s stream as first written: per agent in (t, i)
+    order, n ``random()`` inclusion draws, then the stdlib's ``shuffle`` of
+    the kept candidates."""
+    rng = random.Random(seed)
+    prefs = []
+    for _t in range(k):
+        row = []
+        for _i in range(n):
+            sub = [c for c in range(n) if rng.random() < density]
+            rng.shuffle(sub)
+            row.append(tuple(sub))
+        prefs.append(tuple(row))
+    return Instance(k, n, tuple(prefs))
+
+
 def as_matching(families) -> Matching:
     return Matching.of([tuple(f) for f in families])
 

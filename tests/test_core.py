@@ -19,12 +19,13 @@ from kdsm import (
     parse_instance,
     parse_matching,
     prefers,
+    random_instance,
     serialize_instance,
     serialize_matching,
     validate_instance,
     validate_matching,
 )
-from kdsm.core import FormatError
+from kdsm.core import FormatError, shared_permutations
 from kdsm.verify import improvement_masks
 from conftest import oracle_prefers
 
@@ -174,8 +175,11 @@ class TestValidation:
             (lambda: Instance(3, 2, (((0,),), ((0,),), ((0,),))), InvalidInstanceError),
             (lambda: Instance.build(1, [[(0,)]]), DimensionError),
             (lambda: Instance.build(3, [[(0,)], [(0,)]]), InvalidInstanceError),
+            (lambda: Instance(3.0, 1, (((0,),),) * 3), DimensionError),
+            (lambda: Instance(2, True, (((0,),),) * 2), DimensionError),
         ],
-        ids=["k1", "n-1", "two-rows", "short-row", "build-k1", "build-two-rows"],
+        ids=["k1", "n-1", "two-rows", "short-row", "build-k1", "build-two-rows", "float-k",
+             "bool-n"],
     )
     def test_bad_shape_raises_kdsm_errors(self, make, error):
         with pytest.raises(error):
@@ -186,6 +190,49 @@ class TestValidation:
         assert inst.n == 2
         assert inst.prefs[1] == ((0,), ())
         assert inst.prefs[2] == ((), ())
+
+
+class TestSharedPermutations:
+    """A list is looked up by id in the table of its instance's own n: only
+    the shared tuple itself hits. Each case runs with the n=3 table warm."""
+
+    @pytest.fixture(autouse=True)
+    def warm(self):
+        random_instance(0, 3, 3)
+
+    @staticmethod
+    def rows(inst):
+        return [[list(masks) for masks in row] for row in inst._better]
+
+    @pytest.mark.parametrize("first", [(0.0, 1, 2), ([0], 1, 2)], ids=["float", "list"])
+    def test_an_equal_non_integer_list_is_still_checked(self, first):
+        p = shared_permutations(3)
+        inst = Instance(2, 3, ((first, p[0], p[1]), (p[2], p[3], p[4])))
+        message = "pref (0, 0): entries must be integers"
+        assert validate_instance(inst).violations == (message,)
+        with pytest.raises(InvalidInstanceError):
+            inst._better
+        assert f"pref 0 0 : {' '.join(map(str, first))}\n" in serialize_instance(inst)
+
+    def test_a_shared_tuple_of_another_n_gets_the_row_of_its_instance(self):
+        random_instance(0, 3, 4)
+        p = shared_permutations(3)
+        shared = Instance(2, 4, ((p[0], p[5], (), p[1]), (p[2], (), p[3], p[4])))
+        fresh = Instance(2, 4, tuple(tuple(tuple(list(lst)) for lst in row) for row in shared.prefs))
+        assert shared.prefs == fresh.prefs
+        assert all(a is not b for a, b in zip(shared.prefs[0], fresh.prefs[0]) if a)
+        assert self.rows(shared) == self.rows(fresh)
+        assert self.rows(shared)[0][0] == [0, 1, 3, 7, 7]  # 3 is unlisted
+        assert instance_digest(shared) == instance_digest(fresh)
+
+    def test_the_empty_tuple_is_not_shared_across_n(self):
+        assert shared_permutations(0) == [()]
+        assert Instance(3, 0, ((),) * 3)._better == [[], [], []]
+        inst = Instance(2, 2, (((), shared_permutations(2)[1]), ((0,), ())))
+        assert self.rows(inst) == [[[0, 0, 0], [2, 0, 3]], [[0, 1, 1], [0, 0, 0]]]
+        assert serialize_instance(inst).splitlines()[3:] == [
+            "pref 0 0 :", "pref 0 1 : 1 0", "pref 1 0 : 0", "pref 1 1 :"
+        ]
 
 
 class TestMatching:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kdsm import (
@@ -20,7 +22,9 @@ from kdsm import (
     validate_instance,
     validate_matching,
 )
+from kdsm.core import shared_permutations
 from kdsm.genlab import UnknownExperimentError, list_options
+from conftest import oracle_random_instance
 
 
 class TestRandomInstance:
@@ -48,19 +52,59 @@ class TestRandomInstance:
         [
             (1, 2, 1.0, DimensionError, "invalid dimensions k=1, n=2"),
             (3, -1, 1.0, DimensionError, "invalid dimensions k=3, n=-1"),
+            (3.0, 2, 1.0, DimensionError, "dimensions must be integers"),
+            (3, True, 1.0, DimensionError, "dimensions must be integers"),
+            (3, 2.5, 1.0, DimensionError, "dimensions must be integers"),
             (3, 2, 1.5, KdsmError, "density must be in"),
             (3, 2, -0.1, KdsmError, "density must be in"),
+            (3, 2, "1", ArgumentError, "density must be a real number"),
+            (3, 2, None, ArgumentError, "density must be a real number"),
         ],
     )
     def test_bad_parameters_raise(self, k, n, density, error, match):
         with pytest.raises(error, match=match):
             random_instance(0, k, n, density)
 
-    def test_random_matching_valid(self):
-        for seed in range(30):
-            inst = random_instance(seed, 3, 3, 0.7)
-            m = random_matching(inst, seed + 1)
-            assert validate_matching(inst, m).ok
+    @pytest.mark.parametrize("seed", [None, True, 1.0, "1"])
+    def test_a_seed_that_is_not_an_int_is_refused(self, seed):
+        # None would seed from the operating system's entropy
+        with pytest.raises(ArgumentError, match="seed must be an integer"):
+            random_instance(seed, 3, 2)
+        with pytest.raises(ArgumentError, match="seed must be an integer"):
+            random_matching(random_instance(0, 3, 2), seed)
+
+    def test_the_stream_matches_the_stdlib_shuffle_oracle(self):
+        # the complete path reads the shuffle's draws through a table of
+        # shared permutations; every path keeps the oracle's stream
+        rng = random.Random(16)
+        for k in range(2, 7):
+            for n in range(9):
+                for density in (0, 0.3, 0.55, 1.0, 1):
+                    for _ in range(12):
+                        seed = rng.getrandbits(63)
+                        got = random_instance(seed, k, n, density)
+                        want = oracle_random_instance(seed, k, n, density)
+                        assert got.prefs == want.prefs, (seed, k, n, density)
+                        assert instance_digest(got) == instance_digest(want)
+                        assert [list(map(list, row)) for row in got._better] == want._better
+
+    def test_the_stream_does_not_read_the_stdlib_shuffle(self, monkeypatch):
+        want = [random_instance(7, 3, n, d) for n in (3, 9) for d in (0.55, 1.0)]
+
+        def no_shuffle(*_args):
+            pytest.fail("drew through random.Random.shuffle")
+
+        monkeypatch.setattr(random.Random, "shuffle", no_shuffle)
+        assert [random_instance(7, 3, n, d) for n in (3, 9) for d in (0.55, 1.0)] == want
+
+    def test_complete_lists_are_the_shared_permutations(self):
+        insts = [random_instance(5, 3, n) for n in (1, 3, 4)]
+        insts += enumerate_instances(2, 2, True)
+        for inst in insts:
+            shared = {id(p) for p in shared_permutations(inst.n)}
+            assert {id(lst) for row in inst.prefs for lst in row} <= shared
+        assert all(a is b for a, b in zip(list_options(3, True), shared_permutations(3)))
+        assert all(a is b for a, b in zip(list_options(3, False)[-6:], shared_permutations(3)))
 
 
 class TestEnumerateInstances:
@@ -80,6 +124,17 @@ class TestEnumerateInstances:
 
     def test_option_order_canonical(self):
         assert list_options(2, complete=False) == [(), (0,), (1,), (0, 1), (1, 0)]
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, True])
+    def test_a_dimension_that_is_not_an_int_is_refused(self, n):
+        calls = [
+            lambda: enumerate_instances(3, n, True),
+            lambda: count_instances(3, n, True),
+            lambda: run_experiment("boros-bound", n=n),
+        ]
+        for call in calls:
+            with pytest.raises(DimensionError, match="dimensions must be integers"):
+                call()
 
     def test_space_bound(self):
         with pytest.raises(SpaceTooLargeError):
