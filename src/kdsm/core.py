@@ -128,7 +128,7 @@ def check_space(what: str, required: int | tuple[int, int], bound: int) -> None:
 # equal list such as (0.0, 1, 2), and a tuple of another n gets its own row.
 # The table holds each tuple, so its id is never reused.
 PERM_CACHE_MAX_N = 7
-_PERMS: dict[int, list[tuple[int, ...]]] = {}
+_SHARED_PERMS: dict[int, list[tuple[int, ...]]] = {}
 # per n, by id: (the tuple, its immutable _better row, its entry text)
 _PERM_ENTRIES: dict[int, dict[int, tuple[tuple[int, ...], tuple[int, ...], str]]] = {}
 
@@ -136,7 +136,7 @@ _PERM_ENTRIES: dict[int, dict[int, tuple[tuple[int, ...], tuple[int, ...], str]]
 def shared_permutations(n: int) -> list[tuple[int, ...]]:
     """The shared permutations of range(n), n <= ``PERM_CACHE_MAX_N``, in
     lexicographic order."""
-    perms = _PERMS.get(n)
+    perms = _SHARED_PERMS.get(n)
     if perms is None:
         perms = list(permutations(range(n)))
         entries = {}
@@ -148,7 +148,7 @@ def shared_permutations(n: int) -> list[tuple[int, ...]]:
                 acc |= 1 << x
             row[n] = acc
             entries[id(p)] = (p, tuple(row), " ".join(map(str, p)))
-        _PERMS[n] = perms
+        _SHARED_PERMS[n] = perms
         _PERM_ENTRIES[n] = entries
     return perms
 
