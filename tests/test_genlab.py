@@ -106,6 +106,12 @@ class TestRandomInstance:
         assert all(a is b for a, b in zip(list_options(3, True), shared_permutations(3)))
         assert all(a is b for a, b in zip(list_options(3, False)[-6:], shared_permutations(3)))
 
+    def test_random_matching_valid(self):
+        for seed in range(30):
+            inst = random_instance(seed, 3, 3, 0.7)
+            m = random_matching(inst, seed + 1)
+            assert validate_matching(inst, m).ok
+
 
 class TestEnumerateInstances:
     def test_complete_n1_single(self):
