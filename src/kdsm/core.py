@@ -13,7 +13,8 @@ report form), :func:`check_dims` the dimensions, :func:`check_space` an
 exhaustive space against its fixed bound, and :func:`matching_rows` whether
 a matching fits. It also holds the shared permutations of range(n) for n up
 to ``PERM_CACHE_MAX_N`` (:func:`shared_permutations`), whose ``_better`` rows
-and entry text are built once.
+and entry text are built once, and :func:`with_tables`, through which the
+library's generators hand an instance the tables they already hold.
 """
 
 from __future__ import annotations
@@ -139,18 +140,43 @@ def shared_permutations(n: int) -> list[tuple[int, ...]]:
     perms = _SHARED_PERMS.get(n)
     if perms is None:
         perms = list(permutations(range(n)))
-        entries = {}
-        for p in perms:
-            row = [0] * (n + 1)
-            acc = 0
-            for x in p:
-                row[x] = acc
-                acc |= 1 << x
-            row[n] = acc
-            entries[id(p)] = (p, tuple(row), " ".join(map(str, p)))
+        _PERM_ENTRIES[n] = {
+            id(p): (p, tuple(better_row(p, n)), " ".join(map(str, p))) for p in perms
+        }
         _SHARED_PERMS[n] = perms
-        _PERM_ENTRIES[n] = entries
     return perms
+
+
+def better_row(lst: tuple[int, ...], n: int) -> Sequence[int]:
+    """The ``_better`` row of one preference list over [0, n): slot x holds
+    the bitmask of the entries listed before x, the ones preferred to x.
+    Slot n (so also -1, "unmatched") and every unlisted x hold every listed
+    entry: an unlisted partner is no better than none. A shared permutation
+    of this n returns its immutable row. Raises InvalidInstanceError, without the
+    list's position, for a list that is not a tuple and for the first entry
+    outside [0, n), repeated or not an integer."""
+    entries = _PERM_ENTRIES.get(n)
+    if entries is not None and (hit := entries.get(id(lst))) is not None:
+        return hit[1]
+    if not isinstance(lst, tuple):
+        raise InvalidInstanceError(f"lists must be tuples, got {type(lst).__name__}")
+    masks = [0] * (n + 1)
+    acc = 0
+    try:
+        for x in lst:
+            if not 0 <= x < n or acc >> x & 1:
+                raise InvalidInstanceError(
+                    f"duplicate entry {x}" if 0 <= x < n
+                    else f"entry {x} out of range [0, {n})"
+                )
+            masks[x] = acc
+            acc |= 1 << x
+    except TypeError:  # a non-integer entry, such as 0.0, "0" or None
+        raise InvalidInstanceError("entries must be integers") from None
+    if acc != (1 << n) - 1:
+        masks = [m if acc >> x & 1 else acc for x, m in enumerate(masks)]
+    masks[n] = acc
+    return masks
 
 
 class AgentRef(NamedTuple):
@@ -176,8 +202,15 @@ class Instance:
 
     def __post_init__(self) -> None:
         check_dims(self.k, self.n)
-        if len(self.prefs) != self.k or any(len(row) != self.n for row in self.prefs):
-            raise InvalidInstanceError("prefs must hold exactly k rows of n lists each")
+        # tuples, so the instance hashes and its cached tables cannot go
+        # stale; building ``_better`` refuses a list that is not a tuple
+        prefs, n = self.prefs, self.n
+        if not (
+            isinstance(prefs, tuple)
+            and len(prefs) == self.k
+            and all(isinstance(row, tuple) and len(row) == n for row in prefs)
+        ):
+            raise InvalidInstanceError("prefs must be a tuple of exactly k tuples of n lists")
 
     @staticmethod
     def build(k: int, prefs: Sequence[Sequence[Sequence[int]]]) -> "Instance":
@@ -203,47 +236,19 @@ class Instance:
                 yield AgentRef(t, i)
 
     @cached_property
-    def _better(self) -> list[list[list[int]]]:
-        # _better[t][i][x]: bitmask of the entries agent (t, i) strictly prefers
-        # to x. Slot n (so also -1, "unmatched") and every unlisted x hold all
-        # listed entries: an unlisted partner is no better than none. Building
-        # it is the one list check: InvalidInstanceError names the first entry,
-        # in (t, i) order, outside [0, n) or repeated, or the first list with a
-        # non-integer entry. A shared permutation of this n is valid and
-        # brings its row.
+    def _better(self) -> list[list[Sequence[int]]]:
+        # _better[t][i]: the better_row of agent (t, i)'s list. Building it
+        # is the one list check: InvalidInstanceError names the first list,
+        # in (t, i) order, that better_row refuses.
         n = self.n
-        entries = _PERM_ENTRIES.get(n, {})
-        full = (1 << n) - 1
-        bit = [1 << x for x in range(n)]
         table = []
-        for row in self.prefs:
+        for t, row in enumerate(self.prefs):
             masks_row = []
-            for lst in row:
-                hit = entries.get(id(lst))
-                if hit is not None:
-                    masks_row.append(hit[1])
-                    continue
-                masks = [0] * (n + 1)
-                acc = 0
-                # (t, i) counts the rows and lists built so far
+            for i, lst in enumerate(row):
                 try:
-                    for x in lst:
-                        if not 0 <= x < n or acc & bit[x]:
-                            where = f"pref ({len(table)}, {len(masks_row)})"
-                            raise InvalidInstanceError(
-                                f"{where}: duplicate entry {x}" if 0 <= x < n
-                                else f"{where}: entry {x} out of range [0, {n})"
-                            )
-                        masks[x] = acc
-                        acc |= bit[x]
-                except TypeError:  # a non-integer entry, such as 0.0, "0" or None
-                    raise InvalidInstanceError(
-                        f"pref ({len(table)}, {len(masks_row)}): entries must be integers"
-                    ) from None
-                if acc != full:
-                    masks = [m if acc >> x & 1 else acc for x, m in enumerate(masks)]
-                masks[n] = acc
-                masks_row.append(masks)
+                    masks_row.append(better_row(lst, n))
+                except InvalidInstanceError as exc:
+                    raise InvalidInstanceError(f"pref ({t}, {i}): {exc}") from None
             table.append(masks_row)
         return table
 
@@ -258,6 +263,18 @@ class Instance:
     def is_complete(self) -> bool:
         n = self.n
         return all(len(lst) == n for row in self.prefs for lst in row)
+
+
+def with_tables(inst: Instance, better: list, complete: bool) -> Instance:
+    """``inst`` with its cached ``_better`` and ``is_complete`` set, for an
+    instance whose lists the library built and whose tables it already holds:
+    ``better`` is the table ``_better`` would build, made of rows no one
+    mutates, and ``complete`` the value of ``is_complete``. Never for lists
+    from a caller, which the ``_better`` build checks."""
+    cache = inst.__dict__
+    cache["_better"] = better
+    cache["is_complete"] = complete
+    return inst
 
 
 @dataclass(frozen=True, order=True)
@@ -497,8 +514,13 @@ def parse_matching(text: str) -> Matching:
     return Matching.of(fams)
 
 
+def digest_state(head: bytes) -> hashlib.blake2b:
+    """The hash state of :func:`instance_digest` after ``head``, the leading
+    bytes of an instance's UTF-8 serialization. Updated with the rest, on a
+    ``copy()`` when the state is reused, its ``hexdigest()`` is the digest."""
+    return hashlib.blake2b(head, digest_size=8)
+
+
 def instance_digest(inst: Instance) -> str:
     """64-bit hash of the canonical serialization (blake2b, 8-byte digest, hex)."""
-    return hashlib.blake2b(
-        serialize_instance(inst).encode("utf-8"), digest_size=8
-    ).hexdigest()
+    return digest_state(serialize_instance(inst).encode("utf-8")).hexdigest()

@@ -5,6 +5,12 @@ seeded either with the caller's integer seed or with a derived string seed
 of the form ``"<seed>:<tag>:<index>"``. CPython guarantees the generator's
 output sequence for a fixed seed, so reports reproduce bit-exactly for a
 given seed on any platform running the same Python series.
+``random_instance`` draws from ``_random.Random``, the C type that
+``random.Random`` subclasses, which an int seed puts in the same state. A
+sampled experiment's instance seeds come from ``_derived_seeds``: one
+reused C generator, seeded per index as CPython 3.11 seeds a string
+(version 2: the big-endian int of its UTF-8 bytes followed by their
+SHA-512), then ``getrandbits(63)``.
 
 ``random_instance`` consumes its stream in a fixed order: for each agent in
 increasing (t, i) order it draws n uniform floats (one inclusion test per
@@ -14,10 +20,19 @@ makes the draws of the stdlib's ``_randbelow``, so a change to the stdlib's
 ``shuffle`` cannot move the stream. At density 1 and n <=
 ``PERM_CACHE_MAX_N`` the n floats are read as one ``getrandbits(64 * n)``,
 the same 2n words, and each list is the shared permutation of
-``core.shared_permutations`` that the shuffle's draws select.
-``enumerate_instances`` and ``list_options`` emit the shared permutations
-too, so building ``Instance._better`` and serializing reuse their rows and
-text.
+``core.shared_permutations`` that the shuffle's draws select; the instance
+gets the permutations' ``_better`` rows as it is drawn.
+
+``enumerate_instances`` walks a pool of rows, ``product(list_options(n,
+complete), repeat=n)`` built once per call, each row with its ``_better``
+rows, its completeness and its ``pref`` lines per type; every instance gets
+its tables by reference (``core.with_tables``). The walk also digests each
+instance, which the exhaustive existence runs take: the hash state after
+the header and the unchanged prefix rows is copied and updated with the
+last row only.
+The lines are cut from ``serialize_instance``'s own text and the state
+comes from ``core.digest_state``, so ``instance_digest`` stays the one
+definition of the digest.
 
 Every experiment runs the same pipeline. Its runner yields one record per
 instance, ``(digest, detail, problem)``, with ``problem`` None when the
@@ -26,20 +41,23 @@ instance passed; ``_report`` turns the records into the one report shape
 ``EXPERIMENTS`` maps each id to its runner and defaults. Stable matchings
 are counted through ``solve.count_weakly_stable``, which alone decides
 between the complete-instance scan (every k) and enumeration; in the pool
-its per-instance form is ``_count_record``.
+its per-instance form is ``_count_record``, or ``_count_digested`` for an
+instance that comes with its digest.
 """
 
 from __future__ import annotations
 
+import _random
 import inspect
 import random
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import permutations, product
+from hashlib import sha512
+from itertools import count, islice, permutations, product
 from math import factorial, perm
 from multiprocessing import Pool
 from numbers import Real
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     PERM_CACHE_MAX_N,
@@ -50,12 +68,16 @@ from .core import (
     Instance,
     KdsmError,
     Matching,
+    better_row,
     check_dims,
     check_space,
+    digest_state,
     instance_digest,
+    serialize_instance,
     serialize_matching,
     shared_permutations,
     space_within,
+    with_tables,
 )
 from .reductions import (
     check_admirer_bound,
@@ -99,7 +121,7 @@ class UnknownExperimentError(KdsmError):
     pass
 
 
-def _shuffle(rng: random.Random, x: list) -> None:
+def _shuffle(rng: _random.Random, x: list) -> None:
     """Fisher–Yates in place with the draws of CPython 3.11's ``shuffle``: for
     i from len(x) - 1 down to 1, j is a draw of (i + 1).bit_length() bits,
     redrawn while it exceeds i, and x[i] swaps with x[j]."""
@@ -112,19 +134,22 @@ def _shuffle(rng: random.Random, x: list) -> None:
         x[i], x[j] = x[j], x[i]
 
 
-def _random_list(rng: random.Random, n: int, density: float) -> tuple[int, ...]:
+def _random_list(rng: _random.Random, n: int, density: float) -> tuple[int, ...]:
     sub = [c for c in range(n) if rng.random() < density]
     _shuffle(rng, sub)
     return tuple(sub)
 
 
 @cache
-def _shuffle_table(n: int) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
+def _shuffle_table(
+    n: int,
+) -> tuple[list[tuple[int, int]], list[tuple[tuple[int, ...], Sequence[int]]]]:
     """The draws of :func:`_shuffle` on list(range(n)), n <= PERM_CACHE_MAX_N,
     as (bound i + 1, bit width) from i = n - 1 down, and the shared
-    permutation it yields, by the draws read as a mixed-radix number."""
+    permutation it yields with its ``better_row``, by the draws read as a
+    mixed-radix number."""
     steps = [(i + 1, (i + 1).bit_length()) for i in reversed(range(1, n))]
-    shared = {p: p for p in shared_permutations(n)}
+    shared = {p: (p, better_row(p, n)) for p in shared_permutations(n)}
     out = []
     for draws in product(*(range(bound) for bound, _ in steps)):
         x = list(range(n))
@@ -134,10 +159,10 @@ def _shuffle_table(n: int) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]
     return steps, out
 
 
-def _check_seed(seed: int) -> None:
-    """Raise ArgumentError unless ``seed`` is an int (a bool is not)."""
-    if type(seed) is not int:
-        raise ArgumentError(f"seed must be an integer, got {seed!r}")
+def _check_int(name: str, value: int) -> None:
+    """Raise ArgumentError unless ``value`` is an int (a bool is not)."""
+    if type(value) is not int:
+        raise ArgumentError(f"{name} must be an integer, got {value!r}")
 
 
 def random_instance(seed: int, k: int, n: int, density: float = 1.0) -> Instance:
@@ -148,24 +173,28 @@ def random_instance(seed: int, k: int, n: int, density: float = 1.0) -> Instance
     a seed that is not an int or a density that is not a real number, and
     KdsmError for a density outside [0, 1]."""
     check_dims(k, n)
-    _check_seed(seed)
+    _check_int("seed", seed)
     if not isinstance(density, Real):
         raise ArgumentError(f"density must be a real number, got {density!r}")
     if not 0.0 <= density <= 1.0:
         raise KdsmError(f"density must be in [0, 1], got {density}")
-    rng = random.Random(seed)
+    # the C generator under random.Random: an int seed gives the same stream
+    rng = _random.Random(seed)
     if density != 1 or n > PERM_CACHE_MAX_N:
         return Instance(k, n, tuple(
             tuple(_random_list(rng, n, density) for _i in range(n)) for _t in range(k)
         ))
     # every candidate is kept: the n inclusion draws are 2n words, then each
-    # list is the shared permutation that _shuffle's draws select
+    # list is the shared permutation that _shuffle's draws select, which
+    # brings its row of the table
     getrandbits = rng.getrandbits
     steps, perms = _shuffle_table(n)
     skip = 64 * n
     prefs = []
+    table = []
     for _t in range(k):
         row = []
+        masks_row = []
         for _i in range(n):
             getrandbits(skip)
             idx = 0
@@ -174,15 +203,22 @@ def random_instance(seed: int, k: int, n: int, density: float = 1.0) -> Instance
                 while j >= bound:
                     j = getrandbits(width)
                 idx = idx * bound + j
-            row.append(perms[idx])
+            p, masks = perms[idx]
+            row.append(p)
+            masks_row.append(masks)
         prefs.append(tuple(row))
-    return Instance(k, n, tuple(prefs))
+        table.append(masks_row)
+    return with_tables(Instance(k, n, tuple(prefs)), table, True)
 
 
 def random_matching(inst: Instance, seed: int, keep: float = 0.7) -> Matching:
     """A seeded random valid matching: candidate families are shuffled and
-    greedily kept with probability ``keep`` when agent-disjoint."""
-    _check_seed(seed)
+    greedily kept with probability ``keep`` when agent-disjoint. Raises
+    ArgumentError for a seed that is not an int and for a ``keep`` that is
+    not a real number in [0, 1] (a bool is not)."""
+    _check_int("seed", seed)
+    if isinstance(keep, bool) or not isinstance(keep, Real) or not 0 <= keep <= 1:
+        raise ArgumentError(f"keep must be a real number in [0, 1], got {keep!r}")
     fams = _check_family_bound(inst)
     rng = random.Random(seed)
     rng.shuffle(fams)
@@ -233,9 +269,71 @@ def enumerate_instances(k: int, n: int, complete: bool) -> Iterator[Instance]:
     the call, before any instance is built; a space far past the bound is
     refused from its size, without computing its count.
     """
+    return (inst for inst, _digest in _pooled_instances(k, n, complete))
+
+
+def _row_pool(k: int, n: int, complete: bool) -> tuple[bytes, list[tuple]]:
+    """The header of every k, n serialization, and every row of n admissible
+    lists in product order as (its lists, their better rows, whether every
+    list is complete, its pref lines in UTF-8 for each type). A row's lines
+    are cut from the serialization of the instance whose every type has that
+    row: three header lines, then n lines per type."""
+    options = [(lst, tuple(better_row(lst, n))) for lst in list_options(n, complete)]
+    pool = []
+    for combo in product(options, repeat=n):
+        row = tuple(lst for lst, _ in combo)
+        text = serialize_instance(Instance(k, n, (row,) * k)).encode("utf-8")
+        lines = [line + b"\n" for line in text.split(b"\n")[:-1]]
+        pool.append((
+            row,
+            tuple(masks for _, masks in combo),
+            all(len(lst) == n for lst in row),
+            tuple(b"".join(lines[3 + t * n : 3 + (t + 1) * n]) for t in range(k)),
+        ))
+    return b"".join(lines[:3]), pool
+
+
+def _pooled_instances(k: int, n: int, complete: bool) -> Iterator[tuple[Instance, str]]:
+    """:func:`enumerate_instances` with each instance's digest; raises as it
+    does, at the call."""
     check_space("instances", _instance_space(k, n, complete), MAX_INSTANCES)
-    rows = product(list_options(n, complete), repeat=n)
-    return (Instance(k, n, prefs) for prefs in product(rows, repeat=k))
+    return _walk_pool(k, n, complete)
+
+
+def _walk_pool(k: int, n: int, complete: bool) -> Iterator[tuple[Instance, str]]:
+    """One walk over ``_row_pool``: the rows of types 0..k-2 step like an
+    odometer, and under each such prefix the last type runs over the pool.
+    Every instance gets its tables by reference, through ``with_tables``.
+    ``hashes[t]`` is the digest state after the header and the rows of
+    types below t, rebuilt from the first type whose row changed; each
+    digest updates a copy of ``hashes[k - 1]`` with the last row alone."""
+    head, pool = _row_pool(k, n, complete)
+    last = k - 1
+    picks = [0] * last  # the pool index of each prefix type's row
+    hashes = [digest_state(head)] + [None] * last
+    changed = 0  # the first prefix type whose row changed
+    while True:
+        prefix = [pool[j] for j in picks]
+        prefs = tuple(entry[0] for entry in prefix)
+        better = [entry[1] for entry in prefix]
+        full = all(entry[2] for entry in prefix)
+        for t in range(changed, last):
+            state = hashes[t].copy()
+            state.update(prefix[t][3][t])
+            hashes[t + 1] = state
+        base = hashes[last]
+        for row, masks, row_full, lines in pool:
+            inst = Instance(k, n, (*prefs, row))
+            state = base.copy()
+            state.update(lines[last])
+            yield with_tables(inst, [*better, masks], full and row_full), state.hexdigest()
+        changed = last - 1
+        while changed >= 0 and picks[changed] == len(pool) - 1:
+            picks[changed] = 0
+            changed -= 1
+        if changed < 0:
+            return
+        picks[changed] += 1
 
 
 @dataclass(frozen=True)
@@ -403,6 +501,12 @@ def _count_record(inst: Instance, limit: int | None) -> tuple[str, int]:
     return instance_digest(inst), count_weakly_stable(inst, limit=limit)
 
 
+def _count_digested(item: tuple[Instance, str], limit: int | None) -> tuple[str, int]:
+    """:func:`_count_record` of an instance that comes with its digest."""
+    inst, digest = item
+    return digest, count_weakly_stable(inst, limit=limit)
+
+
 # one record per instance: (digest, detail, problem or None when it passed)
 Record = tuple[str, str, str | None]
 
@@ -440,14 +544,24 @@ def _sorted_pairs(values: dict[str, object]) -> tuple[tuple[str, str], ...]:
     return tuple((key, str(val)) for key, val in sorted(values.items()))
 
 
+def _derived_seeds(seed: int, name: str) -> Iterator[int]:
+    """``random.Random(f"{seed}:{name}:{idx}").getrandbits(63)`` for idx =
+    0, 1, ...: each string seeded as CPython 3.11's version-2 seeding does
+    (its UTF-8 bytes followed by their SHA-512, read as a big-endian int),
+    on one reused C generator."""
+    gen = _random.Random(0)
+    for idx in count():
+        text = f"{seed}:{name}:{idx}".encode("utf-8")
+        gen.seed(int.from_bytes(text + sha512(text).digest(), "big"))
+        yield gen.getrandbits(63)
+
+
 def _sampled_complete(
     name: str, seed: int, k: int, n: int, samples: int
 ) -> Iterator[Instance]:
     """The seeded complete instances of a sampled experiment, in order."""
-    for idx in range(samples):
-        yield random_instance(
-            random.Random(f"{seed}:{name}:{idx}").getrandbits(63), k, n, density=1.0
-        )
+    for derived in islice(_derived_seeds(seed, name), samples):
+        yield random_instance(derived, k, n, density=1.0)
 
 
 def _existence(
@@ -464,17 +578,17 @@ def _existence(
     )
     if exhaustive:
         mode = "exhaustive"
-        instances = enumerate_instances(k, n, complete=True)
+        items = _pooled_instances(k, n, complete=True)
+        record = _count_digested
         chunksize = 256
     else:
         if samples is None:
             samples = 100_000
         mode = f"sample-{samples}"
-        instances = _sampled_complete(name, seed, k, n, samples)
+        items = _sampled_complete(name, seed, k, n, samples)
+        record = _count_record
         chunksize = max(1, samples // (threads * 8))
-    counts = _map_maybe_parallel(
-        partial(_count_record, limit=1), instances, threads, chunksize
-    )
+    counts = _map_maybe_parallel(partial(record, limit=1), items, threads, chunksize)
     records = (
         (digest, "stable>=1", None)
         if count
@@ -678,32 +792,46 @@ def run_experiment(
     """Run one scripted experiment and return its deterministic report.
 
     ``full`` forces exhaustive instance coverage for ``boros-bound`` even
-    past the auto-sampling threshold. Raises UnknownExperimentError for an
-    id outside ``EXPERIMENT_IDS``, DimensionError for k < 2 or n < 0 and
+    past the auto-sampling threshold. An argument passed as None takes its
+    default. Raises UnknownExperimentError for an id outside
+    ``EXPERIMENT_IDS``; DimensionError for a k or n that is not an int, for
+    k < 2 or n < 0; ArgumentError for a samples, seed, target_k or threads
+    that is not an int (a bool is not) and a full that is not a bool; and
     KdsmError for samples < 0, threads < 1 or an argument that differs from
     its default and that the experiment's ``EXPERIMENTS`` entry does not
-    name (such as ``k`` for ``pp-two-matchings``).
+    name (such as ``k`` for ``pp-two-matchings``). Types are checked before
+    values.
     """
     if experiment not in EXPERIMENTS:
         raise UnknownExperimentError(
             f"unknown experiment id {experiment!r}; known ids: "
             + ", ".join(EXPERIMENT_IDS)
         )
+    given = dict(
+        k=k, n=n, samples=samples, seed=seed, target_k=target_k, threads=threads, full=full
+    )
+    for name, value in given.items():
+        if value is None or type(value) is (bool if name == "full" else int):
+            continue
+        if name == "full":
+            raise ArgumentError(f"full must be a bool, got {value!r}")
+        if name in ("k", "n"):
+            raise DimensionError(f"dimensions must be integers, got {name}={value!r}")
+        raise ArgumentError(f"{name} must be an integer, got {value!r}")
     if k is not None and k < 2:
         raise DimensionError(f"k must be >= 2, got {k}")
     if n is not None and n < 0:
         raise DimensionError(f"n must be >= 0, got {n}")
     if samples is not None and samples < 0:
         raise KdsmError(f"samples must be >= 0, got {samples}")
-    if threads < 1:
+    if threads is not None and threads < 1:
         raise KdsmError(f"threads must be >= 1, got {threads}")
     runner, defaults = EXPERIMENTS[experiment]
-    given = dict(
-        k=k, n=n, samples=samples, seed=seed, target_k=target_k, threads=threads, full=full
-    )
     params = inspect.signature(run_experiment).parameters
     ignored = [
-        key for key in given if key not in defaults and given[key] != params[key].default
+        key
+        for key, value in given.items()
+        if key not in defaults and value is not None and value != params[key].default
     ]
     if ignored:
         raise KdsmError(f"{experiment} does not take " + ", ".join(ignored))

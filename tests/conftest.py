@@ -118,6 +118,23 @@ def oracle_random_instance(seed: int, k: int, n: int, density: float = 1.0) -> I
     return Instance(k, n, tuple(prefs))
 
 
+def oracle_enumerate_instances(k: int, n: int, complete: bool):
+    """``enumerate_instances`` as first written: a product over rows of
+    fresh list tuples, each instance built on its own, so its ``_better``
+    and text come from the per-list build."""
+    if complete:
+        options = list(itertools.permutations(range(n)))
+    else:
+        options = [p for size in range(n + 1) for p in itertools.permutations(range(n), size)]
+    rows = itertools.product(options, repeat=n)
+    return (Instance(k, n, prefs) for prefs in itertools.product(rows, repeat=k))
+
+
+def oracle_derived_seed(seed: int, name: str, idx: int) -> int:
+    """The seed of a sampled experiment's idx-th instance, as first written."""
+    return random.Random(f"{seed}:{name}:{idx}").getrandbits(63)
+
+
 def as_matching(families) -> Matching:
     return Matching.of([tuple(f) for f in families])
 

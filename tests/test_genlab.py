@@ -1,4 +1,6 @@
 import random
+import re
+from itertools import islice
 
 import pytest
 
@@ -22,9 +24,15 @@ from kdsm import (
     validate_instance,
     validate_matching,
 )
+from kdsm import genlab
 from kdsm.core import shared_permutations
 from kdsm.genlab import UnknownExperimentError, list_options
-from conftest import oracle_random_instance
+from conftest import oracle_derived_seed, oracle_enumerate_instances, oracle_random_instance
+
+
+def tables(inst):
+    """``inst``'s ``_better`` as plain lists, and ``is_complete``."""
+    return [[list(masks) for masks in row] for row in inst._better], inst.is_complete
 
 
 class TestRandomInstance:
@@ -83,10 +91,13 @@ class TestRandomInstance:
                     for _ in range(12):
                         seed = rng.getrandbits(63)
                         got = random_instance(seed, k, n, density)
+                        # a complete draw comes with its tables filled
+                        filled = density == 1 and n <= 7
+                        assert ("_better" in vars(got)) == filled == ("is_complete" in vars(got))
                         want = oracle_random_instance(seed, k, n, density)
                         assert got.prefs == want.prefs, (seed, k, n, density)
                         assert instance_digest(got) == instance_digest(want)
-                        assert [list(map(list, row)) for row in got._better] == want._better
+                        assert tables(got) == tables(want)
 
     def test_the_stream_does_not_read_the_stdlib_shuffle(self, monkeypatch):
         want = [random_instance(7, 3, n, d) for n in (3, 9) for d in (0.55, 1.0)]
@@ -105,6 +116,11 @@ class TestRandomInstance:
             assert {id(lst) for row in inst.prefs for lst in row} <= shared
         assert all(a is b for a, b in zip(list_options(3, True), shared_permutations(3)))
         assert all(a is b for a, b in zip(list_options(3, False)[-6:], shared_permutations(3)))
+
+    @pytest.mark.parametrize("keep", ["x", None, True, 2, -0.1, float("nan")])
+    def test_keep_outside_the_unit_interval_is_refused(self, keep):
+        with pytest.raises(ArgumentError, match=r"keep must be a real number in \[0, 1\]"):
+            random_matching(random_instance(1, 3, 2), 1, keep)
 
     def test_random_matching_valid(self):
         for seed in range(30):
@@ -127,6 +143,41 @@ class TestEnumerateInstances:
         insts = list(enumerate_instances(3, 2, complete=False))
         assert len(insts) == 15625
         assert len({instance_digest(i) for i in insts}) == 15625
+
+    # every shape tier-1 enumerates; k=3, n=3 is checked on a fixed slice
+    SHAPES = [(3, n, complete) for n in (0, 1, 2) for complete in (True, False)]
+    SHAPES += [(k, 2, True) for k in (4, 5, 6)]
+
+    @staticmethod
+    def check_against_fresh_builds(pooled, plain, fresh):
+        count = 0
+        for (inst, digest), same, want in zip(pooled, plain, fresh, strict=True):
+            # the tables come filled, and no digest is cached on the instance
+            assert set(vars(inst)) == {"k", "n", "prefs", "_better", "is_complete"}
+            assert inst.prefs == same.prefs == want.prefs
+            assert tables(inst) == tables(same) == tables(want)
+            assert digest == instance_digest(want) == instance_digest(inst)
+            count += 1
+        return count
+
+    @pytest.mark.parametrize("k, n, complete", SHAPES)
+    def test_pooled_walk_matches_fresh_builds(self, k, n, complete):
+        count = self.check_against_fresh_builds(
+            genlab._pooled_instances(k, n, complete),
+            enumerate_instances(k, n, complete),
+            oracle_enumerate_instances(k, n, complete),
+        )
+        assert count == count_instances(k, n, complete)
+
+    @pytest.mark.parametrize("start", [0, 46_656 - 500])  # the second crosses every type's step
+    def test_pooled_walk_matches_fresh_builds_on_a_k3n3_slice(self, start):
+        window = lambda it: islice(it, start, start + 1000)
+        count = self.check_against_fresh_builds(
+            window(genlab._pooled_instances(3, 3, True)),
+            window(enumerate_instances(3, 3, True)),
+            window(oracle_enumerate_instances(3, 3, True)),
+        )
+        assert count == 1000
 
     def test_option_order_canonical(self):
         assert list_options(2, complete=False) == [(), (0,), (1,), (0, 1), (1, 0)]
@@ -197,6 +248,32 @@ class TestExperiments:
     def test_argument_the_entry_does_not_name_raises(self, experiment, kw, named):
         with pytest.raises(KdsmError, match=f"{experiment} does not take {named}$"):
             run_experiment(experiment, **kw)
+
+    @pytest.mark.parametrize(
+        "kw, error, match",
+        [
+            (dict(k="3"), DimensionError, "dimensions must be integers, got k='3'"),
+            (dict(n=2.0), DimensionError, "dimensions must be integers, got n=2.0"),
+            (dict(samples=1.5), ArgumentError, "samples must be an integer, got 1.5"),
+            (dict(samples=True), ArgumentError, "samples must be an integer, got True"),
+            (dict(threads="2"), ArgumentError, "threads must be an integer, got '2'"),
+            (dict(seed="a"), ArgumentError, "seed must be an integer, got 'a'"),
+            (dict(seed=1.5), ArgumentError, "seed must be an integer, got 1.5"),
+            (dict(target_k=5.0), ArgumentError, "target_k must be an integer, got 5.0"),
+            (dict(full=1), ArgumentError, "full must be a bool, got 1"),
+            (dict(k="3", samples=-1), DimensionError, "dimensions must be integers, got k='3'"),
+        ],
+    )
+    def test_types_are_checked_before_values(self, kw, error, match):
+        for experiment in ("boros-bound", "eriksson-bound"):
+            with pytest.raises(error, match=f"^{re.escape(match)}$"):
+                run_experiment(experiment, **kw)
+
+    @pytest.mark.parametrize("seed", [0, 7, -5, 2**64 + 3, -(2**80) + 1])
+    @pytest.mark.parametrize("name", ["boros-bound", "pp-two-matchings", "prüfung"])
+    def test_derived_seeds_match_the_string_seeding(self, seed, name):
+        got = list(islice(genlab._derived_seeds(seed, name), 25))
+        assert got == [oracle_derived_seed(seed, name, idx) for idx in range(25)]
 
     def test_boros_n2_exhaustive(self):
         rep = run_experiment("boros-bound", n=2)
