@@ -5,12 +5,9 @@ seeded either with the caller's integer seed or with a derived string seed
 of the form ``"<seed>:<tag>:<index>"``. CPython guarantees the generator's
 output sequence for a fixed seed, so reports reproduce bit-exactly for a
 given seed on any platform running the same Python series.
-``random_instance`` draws from ``_random.Random``, the C type that
-``random.Random`` subclasses, which an int seed puts in the same state. A
-sampled experiment's instance seeds come from ``_derived_seeds``: one
-reused C generator, seeded per index as CPython 3.11 seeds a string
-(version 2: the big-endian int of its UTF-8 bytes followed by their
-SHA-512), then ``getrandbits(63)``.
+``random_instance`` and ``_derived_seeds`` draw from ``_random.Random``, the
+C type that ``random.Random`` subclasses: an int seed gives the same stream,
+and a string seed is first read as CPython 3.11's version-2 seeding reads it.
 
 ``random_instance`` consumes its stream in a fixed order: for each agent in
 increasing (t, i) order it draws n uniform floats (one inclusion test per
@@ -27,12 +24,11 @@ gets the permutations' ``_better`` rows as it is drawn.
 complete), repeat=n)`` built once per call, each row with its ``_better``
 rows, its completeness and its ``pref`` lines per type; every instance gets
 its tables by reference (``core.with_tables``). The walk also digests each
-instance, which the exhaustive existence runs take: the hash state after
-the header and the unchanged prefix rows is copied and updated with the
-last row only.
-The lines are cut from ``serialize_instance``'s own text and the state
-comes from ``core.digest_state``, so ``instance_digest`` stays the one
-definition of the digest.
+instance for the exhaustive existence runs: it copies the hash state after
+the header and the unchanged prefix rows and adds the last row. The lines
+are cut from ``serialize_instance``'s own text and the state comes from
+``core.digest_state``, so ``instance_digest`` stays the one definition of
+the digest.
 
 Every experiment runs the same pipeline. Its runner yields one record per
 instance, ``(digest, detail, problem)``, with ``problem`` None when the
@@ -301,39 +297,34 @@ def _pooled_instances(k: int, n: int, complete: bool) -> Iterator[tuple[Instance
 
 
 def _walk_pool(k: int, n: int, complete: bool) -> Iterator[tuple[Instance, str]]:
-    """One walk over ``_row_pool``: the rows of types 0..k-2 step like an
-    odometer, and under each such prefix the last type runs over the pool.
-    Every instance gets its tables by reference, through ``with_tables``.
-    ``hashes[t]`` is the digest state after the header and the rows of
-    types below t, rebuilt from the first type whose row changed; each
-    digest updates a copy of ``hashes[k - 1]`` with the last row alone."""
+    """One walk over ``_row_pool``: the rows of types 0..k-2 run over the
+    pool in product order, and under each such prefix so does the last
+    type's row. Every instance gets its tables by reference, through
+    ``with_tables``. ``hashes[t]`` is the digest state after the header and
+    the rows of types below t, rebuilt from the first type whose row
+    changed; each digest updates a copy of ``hashes[k - 1]`` with the last
+    row alone."""
     head, pool = _row_pool(k, n, complete)
     last = k - 1
-    picks = [0] * last  # the pool index of each prefix type's row
     hashes = [digest_state(head)] + [None] * last
-    changed = 0  # the first prefix type whose row changed
-    while True:
-        prefix = [pool[j] for j in picks]
-        prefs = tuple(entry[0] for entry in prefix)
-        better = [entry[1] for entry in prefix]
-        full = all(entry[2] for entry in prefix)
+    before = (None,) * last
+    for prefix in product(pool, repeat=last):
+        # the first type whose row changed; product changes the last ones first
+        changed = next(t for t in range(last) if prefix[t] is not before[t])
+        before = prefix
         for t in range(changed, last):
             state = hashes[t].copy()
             state.update(prefix[t][3][t])
             hashes[t + 1] = state
         base = hashes[last]
+        prefs = tuple(entry[0] for entry in prefix)
+        better = [entry[1] for entry in prefix]
+        full = all(entry[2] for entry in prefix)
         for row, masks, row_full, lines in pool:
             inst = Instance(k, n, (*prefs, row))
             state = base.copy()
             state.update(lines[last])
             yield with_tables(inst, [*better, masks], full and row_full), state.hexdigest()
-        changed = last - 1
-        while changed >= 0 and picks[changed] == len(pool) - 1:
-            picks[changed] = 0
-            changed -= 1
-        if changed < 0:
-            return
-        picks[changed] += 1
 
 
 @dataclass(frozen=True)
@@ -811,13 +802,16 @@ def run_experiment(
         k=k, n=n, samples=samples, seed=seed, target_k=target_k, threads=threads, full=full
     )
     for name, value in given.items():
-        if value is None or type(value) is (bool if name == "full" else int):
+        if value is None:
             continue
         if name == "full":
-            raise ArgumentError(f"full must be a bool, got {value!r}")
-        if name in ("k", "n"):
-            raise DimensionError(f"dimensions must be integers, got {name}={value!r}")
-        raise ArgumentError(f"{name} must be an integer, got {value!r}")
+            if type(value) is not bool:
+                raise ArgumentError(f"full must be a bool, got {value!r}")
+        elif name in ("k", "n"):
+            if type(value) is not int:
+                raise DimensionError(f"dimensions must be integers, got {name}={value!r}")
+        else:
+            _check_int(name, value)
     if k is not None and k < 2:
         raise DimensionError(f"k must be >= 2, got {k}")
     if n is not None and n < 0:
