@@ -3,7 +3,9 @@
 Subcommands: gen, reduce, verify, solve, induce, experiment. Every flag can
 also be set through an environment variable named ``KDSM_<FLAG>`` (dashes
 become underscores); explicit flags win. ``experiment`` passes a value set
-only by a variable to the experiments whose entry names it. Each run
+only by a variable to the experiments whose entry names it, and ``solve``
+its ``--out`` to ``--mode find`` alone, which writes the matching it finds
+there and keeps the status and ``nodes`` lines on stdout. Each run
 echoes its resolved configuration on stderr. Exit codes are a stable
 contract: 0 success (or stable), 1 unstable (or experiment failures), 2
 invalid input, 3 resource bound exceeded.
@@ -18,6 +20,7 @@ from typing import Callable, Sequence
 
 from . import genlab, reductions, solve
 from .core import (
+    ArgumentError,
     FormatError,
     InvalidFamilyError,
     KdsmError,
@@ -158,6 +161,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.mode != "find" and "out" in getattr(args, "given", ()):
+        raise ArgumentError("--out takes the matching of --mode find")
     inst = _load_instance(args.instance)
     if args.mode == "count":
         print(solve.count_weakly_stable(inst))
@@ -174,7 +179,7 @@ def cmd_solve(args) -> int:
     print(outcome.status.value)
     print(f"nodes {outcome.nodes_explored}")
     if outcome.matching is not None:
-        sys.stdout.write(serialize_matching(outcome.matching))
+        _write(args.out, serialize_matching(outcome.matching))
     return EXIT_OK
 
 
@@ -249,6 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "budget", int, None, help="node budget for --mode find")
     _add(p, "time-limit", float, None)
     _add(p, "limit", int, None, help="result cap for --mode enumerate")
+    _add(p, "out", str, None, action=_Given,
+         help="write the matching --mode find found here; status and nodes stay on stdout")
     p.set_defaults(handler=cmd_solve)
 
     p = sub.add_parser("induce", help="transport a matching across a reduction map")

@@ -13,8 +13,10 @@ report form), :func:`check_dims` the dimensions, :func:`check_space` an
 exhaustive space against its fixed bound, and :func:`matching_rows` whether
 a matching fits. It also holds the shared permutations of range(n) for n up
 to ``PERM_CACHE_MAX_N`` (:func:`shared_permutations`), whose ``_better`` rows
-and entry text are built once, and :func:`with_tables`, through which the
-library's generators hand an instance the tables they already hold.
+and entry text are built once, and :func:`trusted_instance`, the one
+constructor that skips the checks: the library's generators build an
+instance of the lists they drew through it, with the tables they already
+hold.
 """
 
 from __future__ import annotations
@@ -265,15 +267,26 @@ class Instance:
         return all(len(lst) == n for row in self.prefs for lst in row)
 
 
-def with_tables(inst: Instance, better: list, complete: bool) -> Instance:
-    """``inst`` with its cached ``_better`` and ``is_complete`` set, for an
-    instance whose lists the library built and whose tables it already holds:
-    ``better`` is the table ``_better`` would build, made of rows no one
-    mutates, and ``complete`` the value of ``is_complete``. Never for lists
-    from a caller, which the ``_better`` build checks."""
-    cache = inst.__dict__
-    cache["_better"] = better
-    cache["is_complete"] = complete
+_new_object = object.__new__
+
+
+def trusted_instance(
+    k: int, n: int, prefs: tuple, better: list, complete: bool
+) -> Instance:
+    """The frozen :class:`Instance` of lists the library drew, built without
+    the public checks and with its cached ``_better`` and ``is_complete``
+    set: ``prefs`` is a tuple of k tuples of n lists, ``better`` the table
+    ``_better`` would build, made of rows no one mutates, and ``complete``
+    the value of ``is_complete``. It equals, hashes and pickles as the
+    public build of the same lists. Never for lists from a caller, which
+    the public build and its ``_better`` check."""
+    inst = _new_object(Instance)
+    attrs = inst.__dict__
+    attrs["k"] = k
+    attrs["n"] = n
+    attrs["prefs"] = prefs
+    attrs["_better"] = better
+    attrs["is_complete"] = complete
     return inst
 
 

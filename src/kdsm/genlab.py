@@ -15,20 +15,26 @@ candidate, kept when the draw is below the density) and then shuffles the
 kept candidates in place with kdsm's own Fisher–Yates, ``_shuffle``, which
 makes the draws of the stdlib's ``_randbelow``, so a change to the stdlib's
 ``shuffle`` cannot move the stream. At density 1 and n <=
-``PERM_CACHE_MAX_N`` the n floats are read as one ``getrandbits(64 * n)``,
-the same 2n words, and each list is the shared permutation of
-``core.shared_permutations`` that the shuffle's draws select; the instance
-gets the permutations' ``_better`` rows as it is drawn.
+``PERM_CACHE_MAX_N`` (``_draw_complete``) the n floats are read as one
+``getrandbits(64 * n)``, the same 2n words, and each list is the shared
+permutation of ``core.shared_permutations`` that the shuffle's draws select;
+the instance gets the permutations' ``_better`` rows as it is drawn.
 
-``enumerate_instances`` walks a pool of rows, ``product(list_options(n,
+The lists the library draws itself, those of ``_draw_complete`` and of the
+exhaustive walk, skip the public checks: ``core.trusted_instance`` builds
+the frozen instance with its tables, and it is the one constructor that
+does. ``enumerate_instances`` walks a pool of rows, ``product(list_options(n,
 complete), repeat=n)`` built once per call, each row with its ``_better``
 rows, its completeness and its ``pref`` lines per type; every instance gets
-its tables by reference (``core.with_tables``). The walk also digests each
-instance for the exhaustive existence runs: it copies the hash state after
-the header and the unchanged prefix rows and adds the last row. The lines
-are cut from ``serialize_instance``'s own text and the state comes from
-``core.digest_state``, so ``instance_digest`` stays the one definition of
-the digest.
+its tables by reference. The existence runs take each instance with its
+digest, built from a copy of a hash state (``core.digest_state``) and
+pieces cut from ``serialize_instance``'s own text, so ``instance_digest``
+stays the one definition of the digest. The exhaustive walk copies the
+state after the header and the unchanged prefix rows and adds the last row.
+A sampled instance, n in [1, ``PERM_CACHE_MAX_N``], updates a copy of the
+state after the header with each slot's ``pref t i : `` and the entry text
+of the permutation drawn there (``_sample_pieces``, O(k·n + n!) per shape);
+past that n its digest is ``instance_digest``.
 
 Every experiment runs the same pipeline. Its runner yields one record per
 instance, ``(digest, detail, problem)``, with ``problem`` None when the
@@ -37,8 +43,8 @@ instance passed; ``_report`` turns the records into the one report shape
 ``EXPERIMENTS`` maps each id to its runner and defaults. Stable matchings
 are counted through ``solve.count_weakly_stable``, which alone decides
 between the complete-instance scan (every k) and enumeration; in the pool
-its per-instance form is ``_count_record``, or ``_count_digested`` for an
-instance that comes with its digest.
+its per-instance form is ``_count_digested``, which takes an instance with
+its digest.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ from .core import (
     serialize_matching,
     shared_permutations,
     space_within,
-    with_tables,
+    trusted_instance,
 )
 from .reductions import (
     check_admirer_bound,
@@ -166,28 +172,35 @@ def random_instance(seed: int, k: int, n: int, density: float = 1.0) -> Instance
     random subset holding each candidate independently with probability
     ``density`` (so density 1 yields a complete instance). Raises
     DimensionError for k < 2, n < 0 or a non-int dimension, ArgumentError for
-    a seed that is not an int or a density that is not a real number, and
-    KdsmError for a density outside [0, 1]."""
+    a seed that is not an int or a density that is not a real number (a bool
+    is not), and KdsmError for a density outside [0, 1]."""
     check_dims(k, n)
     _check_int("seed", seed)
-    if not isinstance(density, Real):
+    if isinstance(density, bool) or not isinstance(density, Real):
         raise ArgumentError(f"density must be a real number, got {density!r}")
     if not 0.0 <= density <= 1.0:
         raise KdsmError(f"density must be in [0, 1], got {density}")
-    # the C generator under random.Random: an int seed gives the same stream
-    rng = _random.Random(seed)
     if density != 1 or n > PERM_CACHE_MAX_N:
+        # the C generator under random.Random: an int seed gives the same stream
+        rng = _random.Random(seed)
         return Instance(k, n, tuple(
             tuple(_random_list(rng, n, density) for _i in range(n)) for _t in range(k)
         ))
-    # every candidate is kept: the n inclusion draws are 2n words, then each
-    # list is the shared permutation that _shuffle's draws select, which
-    # brings its row of the table
-    getrandbits = rng.getrandbits
+    return _draw_complete(seed, k, n)[0]
+
+
+def _draw_complete(seed: int, k: int, n: int) -> tuple[Instance, list[int]]:
+    """``random_instance(seed, k, n)`` for n <= PERM_CACHE_MAX_N, built with
+    its tables, and the ``_shuffle_table`` index of each of its lists in
+    (t, i) order. Every candidate is kept: the n inclusion draws are 2n
+    words, then each list is the shared permutation that ``_shuffle``'s
+    draws select, which brings its row of the table."""
+    getrandbits = _random.Random(seed).getrandbits
     steps, perms = _shuffle_table(n)
     skip = 64 * n
     prefs = []
     table = []
+    picks = []
     for _t in range(k):
         row = []
         masks_row = []
@@ -202,9 +215,10 @@ def random_instance(seed: int, k: int, n: int, density: float = 1.0) -> Instance
             p, masks = perms[idx]
             row.append(p)
             masks_row.append(masks)
+            picks.append(idx)
         prefs.append(tuple(row))
         table.append(masks_row)
-    return with_tables(Instance(k, n, tuple(prefs)), table, True)
+    return trusted_instance(k, n, tuple(prefs), table, True), picks
 
 
 def random_matching(inst: Instance, seed: int, keep: float = 0.7) -> Matching:
@@ -268,6 +282,11 @@ def enumerate_instances(k: int, n: int, complete: bool) -> Iterator[Instance]:
     return (inst for inst, _digest in _pooled_instances(k, n, complete))
 
 
+def _serialized_lines(inst: Instance) -> list[bytes]:
+    """The lines of ``serialize_instance(inst)`` in UTF-8, each with its newline."""
+    return [line + b"\n" for line in serialize_instance(inst).encode("utf-8").split(b"\n")[:-1]]
+
+
 def _row_pool(k: int, n: int, complete: bool) -> tuple[bytes, list[tuple]]:
     """The header of every k, n serialization, and every row of n admissible
     lists in product order as (its lists, their better rows, whether every
@@ -278,8 +297,7 @@ def _row_pool(k: int, n: int, complete: bool) -> tuple[bytes, list[tuple]]:
     pool = []
     for combo in product(options, repeat=n):
         row = tuple(lst for lst, _ in combo)
-        text = serialize_instance(Instance(k, n, (row,) * k)).encode("utf-8")
-        lines = [line + b"\n" for line in text.split(b"\n")[:-1]]
+        lines = _serialized_lines(Instance(k, n, (row,) * k))
         pool.append((
             row,
             tuple(masks for _, masks in combo),
@@ -299,11 +317,11 @@ def _pooled_instances(k: int, n: int, complete: bool) -> Iterator[tuple[Instance
 def _walk_pool(k: int, n: int, complete: bool) -> Iterator[tuple[Instance, str]]:
     """One walk over ``_row_pool``: the rows of types 0..k-2 run over the
     pool in product order, and under each such prefix so does the last
-    type's row. Every instance gets its tables by reference, through
-    ``with_tables``. ``hashes[t]`` is the digest state after the header and
-    the rows of types below t, rebuilt from the first type whose row
-    changed; each digest updates a copy of ``hashes[k - 1]`` with the last
-    row alone."""
+    type's row. Every instance is built through ``trusted_instance`` with
+    its tables by reference. ``hashes[t]`` is the digest state after the
+    header and the rows of types below t, rebuilt from the first type whose
+    row changed; each digest updates a copy of ``hashes[k - 1]`` with the
+    last row alone."""
     head, pool = _row_pool(k, n, complete)
     last = k - 1
     hashes = [digest_state(head)] + [None] * last
@@ -321,10 +339,10 @@ def _walk_pool(k: int, n: int, complete: bool) -> Iterator[tuple[Instance, str]]
         better = [entry[1] for entry in prefix]
         full = all(entry[2] for entry in prefix)
         for row, masks, row_full, lines in pool:
-            inst = Instance(k, n, (*prefs, row))
             state = base.copy()
             state.update(lines[last])
-            yield with_tables(inst, [*better, masks], full and row_full), state.hexdigest()
+            inst = trusted_instance(k, n, (*prefs, row), [*better, masks], full and row_full)
+            yield inst, state.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -487,13 +505,9 @@ def _map_maybe_parallel(
         yield from pool.imap(worker, items, chunksize=chunksize)
 
 
-def _count_record(inst: Instance, limit: int | None) -> tuple[str, int]:
-    """Digest of ``inst`` and its number of weakly stable matchings, capped at ``limit``."""
-    return instance_digest(inst), count_weakly_stable(inst, limit=limit)
-
-
 def _count_digested(item: tuple[Instance, str], limit: int | None) -> tuple[str, int]:
-    """:func:`_count_record` of an instance that comes with its digest."""
+    """The digest of an instance that comes with it, and the instance's
+    number of weakly stable matchings, capped at ``limit``."""
     inst, digest = item
     return digest, count_weakly_stable(inst, limit=limit)
 
@@ -547,12 +561,53 @@ def _derived_seeds(seed: int, name: str) -> Iterator[int]:
         yield gen.getrandbits(63)
 
 
+@cache
+def _sample_pieces(k: int, n: int) -> tuple[bytes, list[bytes], list[bytes]]:
+    """The pieces of every serialization of a complete k, n instance, n in
+    [1, PERM_CACHE_MAX_N]: the header, each slot's ``pref t i : `` in (t, i)
+    order, and the entry text of each shared permutation with its line's
+    newline, by ``_shuffle_table`` index, all in UTF-8. They are cut from
+    ``serialize_instance``'s own text: one instance of this shape per k * n
+    permutations, the last one padded, each pref line cut after its " : "."""
+    perms = [p for p, _masks in _shuffle_table(n)[1]]
+    slots = k * n
+    texts = []
+    for start in range(0, len(perms), slots):
+        chunk = perms[start : start + slots]
+        chunk += chunk[-1:] * (slots - len(chunk))
+        lines = _serialized_lines(
+            Instance(k, n, tuple(tuple(chunk[t * n : (t + 1) * n]) for t in range(k)))
+        )
+        cut = [line.partition(b" : ") for line in lines[3:]]
+        texts += [text for _slot, _sep, text in cut]
+    head = b"".join(lines[:3])
+    return head, [slot + sep for slot, sep, _text in cut], texts[: len(perms)]
+
+
 def _sampled_complete(
     name: str, seed: int, k: int, n: int, samples: int
-) -> Iterator[Instance]:
-    """The seeded complete instances of a sampled experiment, in order."""
-    for derived in islice(_derived_seeds(seed, name), samples):
-        yield random_instance(derived, k, n, density=1.0)
+) -> Iterator[tuple[Instance, str]]:
+    """The seeded complete instances of a sampled experiment, in order, each
+    with its digest. For n in [1, PERM_CACHE_MAX_N] the digest updates one
+    copy of the state after the header with the slot prefixes of
+    ``_sample_pieces`` and the entry texts of the drawn lists, in turn;
+    otherwise it is ``instance_digest``."""
+    seeds = islice(_derived_seeds(seed, name), samples)
+    if not 1 <= n <= PERM_CACHE_MAX_N:
+        for derived in seeds:
+            inst = random_instance(derived, k, n, density=1.0)
+            yield inst, instance_digest(inst)
+        return
+    head, prefixes, texts = _sample_pieces(k, n)
+    base = digest_state(head)
+    pieces = [b""] * (2 * k * n)
+    pieces[::2] = prefixes
+    for derived in seeds:
+        inst, picks = _draw_complete(derived, k, n)
+        pieces[1::2] = map(texts.__getitem__, picks)
+        state = base.copy()
+        state.update(b"".join(pieces))
+        yield inst, state.hexdigest()
 
 
 def _existence(
@@ -570,16 +625,14 @@ def _existence(
     if exhaustive:
         mode = "exhaustive"
         items = _pooled_instances(k, n, complete=True)
-        record = _count_digested
         chunksize = 256
     else:
         if samples is None:
             samples = 100_000
         mode = f"sample-{samples}"
         items = _sampled_complete(name, seed, k, n, samples)
-        record = _count_record
         chunksize = max(1, samples // (threads * 8))
-    counts = _map_maybe_parallel(partial(record, limit=1), items, threads, chunksize)
+    counts = _map_maybe_parallel(partial(_count_digested, limit=1), items, threads, chunksize)
     records = (
         (digest, "stable>=1", None)
         if count
@@ -605,7 +658,7 @@ def _pp(name: str, samples: int, seed: int, threads: int) -> ExperimentReport:
 
     def records() -> Iterator[Record]:
         for digest, count in _map_maybe_parallel(
-            partial(_count_record, limit=None), instances, threads, chunksize
+            partial(_count_digested, limit=None), instances, threads, chunksize
         ):
             seen.append(count)
             problem = f"has only {count} weakly stable matchings" if count < 2 else None

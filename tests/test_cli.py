@@ -113,6 +113,41 @@ class TestSolve:
         assert code == 0
         assert out.splitlines()[0] == "EXHAUSTED-NONE"
 
+    def test_find_out_feeds_verify(self, tmp_path, capsys):
+        inst, mfile = tmp_path / "inst.kdsm", tmp_path / "m.kdsm"
+        assert run(capsys, "gen", "--k", "3", "--n", "3", "--seed", "5", "--out", str(inst))[0] == 0
+        code, plain, _ = run(capsys, "solve", str(inst))
+        assert code == 0 and plain.splitlines()[0] == "FOUND"
+        code, out, _ = run(capsys, "solve", str(inst), "--out", str(mfile))
+        assert code == 0
+        # the status and nodes lines stay on stdout, the matching goes to the file
+        assert out.splitlines() == plain.splitlines()[:2]
+        assert out + mfile.read_text() == plain
+        code, out, _ = run(capsys, "verify", str(inst), str(mfile))
+        assert (code, out) == (0, "STABLE\n")
+
+    def test_find_out_without_a_matching_writes_nothing(self, tmp_path, capsys):
+        from conftest import DATA
+
+        mfile = tmp_path / "m.kdsm"
+        code, out, _ = run(capsys, "solve", str(DATA / "no_stable_3dsmi.kdsm"), "--out", str(mfile))
+        assert code == 0 and out.splitlines()[0] == "EXHAUSTED-NONE"
+        assert not mfile.exists()
+
+    @pytest.mark.parametrize("mode", ["count", "enumerate"])
+    def test_out_outside_find_mode_exit_two(self, tmp_path, capsys, monkeypatch, instance_file,
+                                            mode):
+        mfile = tmp_path / "m.kdsm"
+        code, out, err = run(capsys, "solve", str(instance_file), "--mode", mode,
+                             "--out", str(mfile))
+        assert (code, out) == (2, "") and not mfile.exists()
+        assert err.splitlines()[-1] == "error: --out takes the matching of --mode find"
+        # a value set only by the variable reaches find mode alone
+        plain = run(capsys, "solve", str(instance_file), "--mode", mode)[:2]
+        monkeypatch.setenv("KDSM_OUT", str(mfile))
+        assert run(capsys, "solve", str(instance_file), "--mode", mode)[:2] == plain
+        assert not mfile.exists()
+
     def test_find_time_limit_zero(self, tmp_path, capsys):
         from conftest import DATA
 

@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import pytest
@@ -27,7 +28,7 @@ from kdsm import (
     validate_instance,
     validate_matching,
 )
-from kdsm.core import FormatError, shared_permutations
+from kdsm.core import FormatError, shared_permutations, trusted_instance
 from kdsm.verify import improvement_masks
 from conftest import oracle_prefers
 
@@ -248,6 +249,44 @@ class TestSharedPermutations:
         assert serialize_instance(inst).splitlines()[3:] == [
             "pref 0 0 :", "pref 0 1 : 1 0", "pref 1 0 : 0", "pref 1 1 :"
         ]
+
+
+class TestTrustedInstance:
+    """``trusted_instance`` builds what the public constructor builds, for
+    lists the library drew, with the tables handed to it."""
+
+    @staticmethod
+    def cases():
+        p3 = shared_permutations(3)
+        yield 3, 3, tuple(tuple(p3[(t + i) % 6] for i in range(3)) for t in range(3))
+        yield 2, 2, ((shared_permutations(2)[1], (0,)), ((), shared_permutations(2)[0]))
+        yield 3, 0, ((), (), ())
+        yield 4, 1, (((0,),), ((),), ((0,),), ((0,),))
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_it_equals_hashes_and_pickles_as_the_public_build(self, case):
+        k, n, prefs = list(self.cases())[case]
+        public = Instance(k, n, prefs)
+        trusted = trusted_instance(k, n, prefs, public._better, public.is_complete)
+        assert type(trusted) is Instance
+        assert trusted == public and public == trusted
+        assert hash(trusted) == hash(public)
+        assert {trusted: 1}[public] == 1
+        assert repr(trusted) == repr(public)
+        assert vars(trusted) == vars(public)  # fields and both tables
+        for back in (pickle.loads(pickle.dumps(trusted)), pickle.loads(pickle.dumps(public))):
+            assert back == public and hash(back) == hash(public)
+            assert back._better == public._better and back.is_complete == public.is_complete
+        assert serialize_instance(trusted) == serialize_instance(public)
+        assert instance_digest(trusted) == instance_digest(public)
+        assert count_weakly_stable(trusted) == count_weakly_stable(public)
+
+    def test_it_stays_frozen(self):
+        k, n, prefs = next(self.cases())
+        public = Instance(k, n, prefs)
+        trusted = trusted_instance(k, n, prefs, public._better, True)
+        with pytest.raises(AttributeError):
+            trusted.n = 4
 
 
 class TestMatching:

@@ -67,6 +67,8 @@ class TestRandomInstance:
             (3, 2, -0.1, KdsmError, "density must be in"),
             (3, 2, "1", ArgumentError, "density must be a real number"),
             (3, 2, None, ArgumentError, "density must be a real number"),
+            (3, 2, True, ArgumentError, "density must be a real number, got True"),
+            (3, 2, False, ArgumentError, "density must be a real number, got False"),
         ],
     )
     def test_bad_parameters_raise(self, k, n, density, error, match):
@@ -275,6 +277,23 @@ class TestExperiments:
         got = list(islice(genlab._derived_seeds(seed, name), 25))
         assert got == [oracle_derived_seed(seed, name, idx) for idx in range(25)]
 
+    # every n the table serves at k=3, the fallback past it, and k=4, k=6
+    SAMPLED_SHAPES = [(3, n) for n in range(9)] + [(k, n) for k in (4, 6) for n in (2, 3)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 - 1])
+    @pytest.mark.parametrize("k, n", SAMPLED_SHAPES)
+    def test_sampled_instances_come_with_their_digest(self, k, n, seed):
+        samples = 40 if n <= 4 else 8
+        got = list(genlab._sampled_complete("boros-bound", seed, k, n, samples))
+        assert len(got) == samples
+        for idx, (inst, digest) in enumerate(got):
+            fresh = random_instance(oracle_derived_seed(seed, "boros-bound", idx), k, n)
+            want = Instance(k, n, fresh.prefs)  # lists checked, tables built per list
+            assert inst == fresh == want
+            assert tables(inst) == tables(fresh) == tables(want)
+            assert inst.is_complete
+            assert digest == instance_digest(fresh) == instance_digest(want)
+
     def test_boros_n2_exhaustive(self):
         rep = run_experiment("boros-bound", n=2)
         assert rep.ok
@@ -322,6 +341,22 @@ class TestExperiments:
             seq = run_experiment(experiment, samples=samples, seed=9, threads=1)
             par = run_experiment(experiment, samples=samples, seed=9, threads=2)
             assert serialize_report(seq) == serialize_report(par)
+
+    @pytest.mark.parametrize("experiment, kw", [
+        ("pp-two-matchings", dict(samples=6)),
+        ("boros-bound", dict(n=3, samples=60)),
+    ])
+    def test_threads_match_sequential_sampled(self, experiment, kw):
+        # the pool ships each instance with its digest
+        seq = run_experiment(experiment, seed=4, threads=1, **kw)
+        par = run_experiment(experiment, seed=4, threads=2, **kw)
+        assert serialize_report(seq) == serialize_report(par)
+        digests = [digest for digest, _verdict, _detail in seq.results]
+        k, n = (3, 5) if experiment == "pp-two-matchings" else (3, 3)
+        assert digests == [
+            instance_digest(random_instance(oracle_derived_seed(4, experiment, idx), k, n))
+            for idx in range(len(digests))
+        ]
 
     @pytest.mark.parametrize("kw", [dict(n=2), dict(k=6, n=2, full=True)])
     def test_threads_match_sequential_exhaustive(self, kw):
