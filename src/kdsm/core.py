@@ -267,9 +267,6 @@ class Instance:
         return all(len(lst) == n for row in self.prefs for lst in row)
 
 
-_new_object = object.__new__
-
-
 def trusted_instance(
     k: int, n: int, prefs: tuple, better: list, complete: bool
 ) -> Instance:
@@ -280,7 +277,7 @@ def trusted_instance(
     the value of ``is_complete``. It equals, hashes and pickles as the
     public build of the same lists. Never for lists from a caller, which
     the public build and its ``_better`` check."""
-    inst = _new_object(Instance)
+    inst = object.__new__(Instance)
     attrs = inst.__dict__
     attrs["k"] = k
     attrs["n"] = n

@@ -33,7 +33,7 @@ stays the one definition of the digest. The exhaustive walk copies the
 state after the header and the unchanged prefix rows and adds the last row.
 A sampled instance, n in [1, ``PERM_CACHE_MAX_N``], updates a copy of the
 state after the header with each slot's ``pref t i : `` and the entry text
-of the permutation drawn there (``_sample_pieces``, O(k·n + n!) per shape);
+of the permutation drawn there (``_sample_pieces``, O(k·n + n!) per call);
 past that n its digest is ``instance_digest``.
 
 Every experiment runs the same pipeline. Its runner yields one record per
@@ -561,7 +561,6 @@ def _derived_seeds(seed: int, name: str) -> Iterator[int]:
         yield gen.getrandbits(63)
 
 
-@cache
 def _sample_pieces(k: int, n: int) -> tuple[bytes, list[bytes], list[bytes]]:
     """The pieces of every serialization of a complete k, n instance, n in
     [1, PERM_CACHE_MAX_N]: the header, each slot's ``pref t i : `` in (t, i)
@@ -590,8 +589,8 @@ def _sampled_complete(
     """The seeded complete instances of a sampled experiment, in order, each
     with its digest. For n in [1, PERM_CACHE_MAX_N] the digest updates one
     copy of the state after the header with the slot prefixes of
-    ``_sample_pieces`` and the entry texts of the drawn lists, in turn;
-    otherwise it is ``instance_digest``."""
+    ``_sample_pieces``, built once per call, and the entry texts of the
+    drawn lists, in turn; otherwise it is ``instance_digest``."""
     seeds = islice(_derived_seeds(seed, name), samples)
     if not 1 <= n <= PERM_CACHE_MAX_N:
         for derived in seeds:
