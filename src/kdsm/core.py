@@ -155,13 +155,11 @@ def better_row(lst: tuple[int, ...], n: int) -> Sequence[int]:
     Slot n (so also -1, "unmatched") and every unlisted x hold every listed
     entry: an unlisted partner is no better than none. A shared permutation
     of this n returns its immutable row. Raises InvalidInstanceError, without the
-    list's position, for a list that is not a tuple and for the first entry
-    outside [0, n), repeated or not an integer."""
+    list's position, for the first entry outside [0, n), repeated or not an
+    integer."""
     entries = _PERM_ENTRIES.get(n)
     if entries is not None and (hit := entries.get(id(lst))) is not None:
         return hit[1]
-    if not isinstance(lst, tuple):
-        raise InvalidInstanceError(f"lists must be tuples, got {type(lst).__name__}")
     masks = [0] * (n + 1)
     acc = 0
     try:
@@ -204,8 +202,8 @@ class Instance:
 
     def __post_init__(self) -> None:
         check_dims(self.k, self.n)
-        # tuples, so the instance hashes and its cached tables cannot go
-        # stale; building ``_better`` refuses a list that is not a tuple
+        # tuples all the way down, so the instance hashes and its cached
+        # tables cannot go stale
         prefs, n = self.prefs, self.n
         if not (
             isinstance(prefs, tuple)
@@ -213,6 +211,12 @@ class Instance:
             and all(isinstance(row, tuple) and len(row) == n for row in prefs)
         ):
             raise InvalidInstanceError("prefs must be a tuple of exactly k tuples of n lists")
+        for t, row in enumerate(prefs):
+            for i, lst in enumerate(row):
+                if not isinstance(lst, tuple):
+                    raise InvalidInstanceError(
+                        f"pref ({t}, {i}): lists must be tuples, got {type(lst).__name__}"
+                    )
 
     @staticmethod
     def build(k: int, prefs: Sequence[Sequence[Sequence[int]]]) -> "Instance":

@@ -52,6 +52,7 @@ from __future__ import annotations
 import _random
 import inspect
 import random
+from collections import deque
 from dataclasses import dataclass
 from functools import cache, partial
 from hashlib import sha512
@@ -94,6 +95,7 @@ from .reductions import (
 from .solve import (
     _check_family_bound,
     _matchings,
+    _scan_batch,
     count_weakly_stable,
     enumerate_weakly_stable,
 )
@@ -111,6 +113,8 @@ MAX_INSTANCES = 10**8
 EXHAUSTIVE_INSTANCE_CAP = 200_000
 # per-instance result lines kept in a report before truncation
 RESULT_RECORD_CAP = 200_000
+# an existence run decides its instances this many at a time, one bit each
+EXISTENCE_BATCH = 4096
 # search_counterexample enumerates a size whose instance space fits under this
 # cap and otherwise runs _hill_climb: this many stable-count evaluations over
 # random lists of this density
@@ -143,22 +147,27 @@ def _random_list(rng: _random.Random, n: int, density: float) -> tuple[int, ...]
 
 
 @cache
-def _shuffle_table(
-    n: int,
-) -> tuple[list[tuple[int, int]], list[tuple[tuple[int, ...], Sequence[int]]]]:
+def _shuffle_table(n: int) -> tuple[list[tuple[int, int]], list[int]]:
     """The draws of :func:`_shuffle` on list(range(n)), n <= PERM_CACHE_MAX_N,
-    as (bound i + 1, bit width) from i = n - 1 down, and the shared
-    permutation it yields with its ``better_row``, by the draws read as a
-    mixed-radix number."""
+    as (bound i + 1, bit width) from i = n - 1 down, and the
+    ``shared_permutations(n)`` index of the permutation it yields, by the
+    draws read as a mixed-radix number."""
     steps = [(i + 1, (i + 1).bit_length()) for i in reversed(range(1, n))]
-    shared = {p: (p, better_row(p, n)) for p in shared_permutations(n)}
+    index = {p: j for j, p in enumerate(shared_permutations(n))}
     out = []
     for draws in product(*(range(bound) for bound, _ in steps)):
         x = list(range(n))
         for i, j in zip(reversed(range(1, n)), draws):
             x[i], x[j] = x[j], x[i]
-        out.append(shared[tuple(x)])
+        out.append(index[tuple(x)])
     return steps, out
+
+
+@cache
+def _shared_rows(n: int) -> list[tuple[tuple[int, ...], Sequence[int]]]:
+    """Each shared permutation of range(n), n <= PERM_CACHE_MAX_N, with its
+    ``better_row``, in order."""
+    return [(p, better_row(p, n)) for p in shared_permutations(n)]
 
 
 def _check_int(name: str, value: int) -> None:
@@ -186,39 +195,42 @@ def random_instance(seed: int, k: int, n: int, density: float = 1.0) -> Instance
         return Instance(k, n, tuple(
             tuple(_random_list(rng, n, density) for _i in range(n)) for _t in range(k)
         ))
-    return _draw_complete(seed, k, n)[0]
+    return _picked_instance(k, n, _draw_picks(seed, k, n))
 
 
-def _draw_complete(seed: int, k: int, n: int) -> tuple[Instance, list[int]]:
-    """``random_instance(seed, k, n)`` for n <= PERM_CACHE_MAX_N, built with
-    its tables, and the ``_shuffle_table`` index of each of its lists in
-    (t, i) order. Every candidate is kept: the n inclusion draws are 2n
-    words, then each list is the shared permutation that ``_shuffle``'s
-    draws select, which brings its row of the table."""
+def _draw_picks(seed: int, k: int, n: int) -> list[int]:
+    """The ``shared_permutations(n)`` index of each list of
+    ``random_instance(seed, k, n)``, n <= PERM_CACHE_MAX_N, in (t, i) order.
+    Every candidate is kept: the n inclusion draws are 2n words, then each
+    list is the shared permutation that ``_shuffle``'s draws select."""
     getrandbits = _random.Random(seed).getrandbits
-    steps, perms = _shuffle_table(n)
+    steps, order = _shuffle_table(n)
     skip = 64 * n
+    picks = []
+    for _slot in range(k * n):
+        getrandbits(skip)
+        idx = 0
+        for bound, width in steps:
+            j = getrandbits(width)
+            while j >= bound:
+                j = getrandbits(width)
+            idx = idx * bound + j
+        picks.append(order[idx])
+    return picks
+
+
+def _picked_instance(k: int, n: int, picks: Sequence[int]) -> Instance:
+    """The complete instance whose (t, i) list is the ``picks[t * n + i]``-th
+    shared permutation, built with its tables."""
+    rows = _shared_rows(n)
+    slots = [rows[j] for j in picks]
     prefs = []
     table = []
-    picks = []
-    for _t in range(k):
-        row = []
-        masks_row = []
-        for _i in range(n):
-            getrandbits(skip)
-            idx = 0
-            for bound, width in steps:
-                j = getrandbits(width)
-                while j >= bound:
-                    j = getrandbits(width)
-                idx = idx * bound + j
-            p, masks = perms[idx]
-            row.append(p)
-            masks_row.append(masks)
-            picks.append(idx)
-        prefs.append(tuple(row))
-        table.append(masks_row)
-    return trusted_instance(k, n, tuple(prefs), table, True), picks
+    for t in range(k):
+        row = slots[t * n : (t + 1) * n]
+        prefs.append(tuple(p for p, _ in row))
+        table.append([masks for _, masks in row])
+    return trusted_instance(k, n, tuple(prefs), table, True)
 
 
 def random_matching(inst: Instance, seed: int, keep: float = 0.7) -> Matching:
@@ -290,19 +302,22 @@ def _serialized_lines(inst: Instance) -> list[bytes]:
 def _row_pool(k: int, n: int, complete: bool) -> tuple[bytes, list[tuple]]:
     """The header of every k, n serialization, and every row of n admissible
     lists in product order as (its lists, their better rows, whether every
-    list is complete, its pref lines in UTF-8 for each type). A row's lines
-    are cut from the serialization of the instance whose every type has that
-    row: three header lines, then n lines per type."""
+    list is complete, its pref lines in UTF-8 for each type, the index of
+    each list in ``list_options(n, complete)``). A row's lines are cut from
+    the serialization of the instance whose every type has that row: three
+    header lines, then n lines per type. The indices of complete lists are
+    their ``shared_permutations(n)`` indices."""
     options = [(lst, tuple(better_row(lst, n))) for lst in list_options(n, complete)]
     pool = []
-    for combo in product(options, repeat=n):
-        row = tuple(lst for lst, _ in combo)
+    for combo in product(enumerate(options), repeat=n):
+        row = tuple(lst for _, (lst, _) in combo)
         lines = _serialized_lines(Instance(k, n, (row,) * k))
         pool.append((
             row,
-            tuple(masks for _, masks in combo),
+            tuple(masks for _, (_, masks) in combo),
             all(len(lst) == n for lst in row),
             tuple(b"".join(lines[3 + t * n : 3 + (t + 1) * n]) for t in range(k)),
+            tuple(j for j, _ in combo),
         ))
     return b"".join(lines[:3]), pool
 
@@ -311,14 +326,30 @@ def _pooled_instances(k: int, n: int, complete: bool) -> Iterator[tuple[Instance
     """:func:`enumerate_instances` with each instance's digest; raises as it
     does, at the call."""
     check_space("instances", _instance_space(k, n, complete), MAX_INSTANCES)
-    return _walk_pool(k, n, complete)
+    return (
+        (trusted_instance(k, n, (*prefs, row), [*better, masks], full and row_full), digest)
+        for (prefs, better, full, _), (row, masks, row_full, _, _), digest
+        in _walk_pool(k, n, complete)
+    )
 
 
-def _walk_pool(k: int, n: int, complete: bool) -> Iterator[tuple[Instance, str]]:
+def _pooled_lanes(k: int, n: int) -> Iterator[tuple[tuple[int, ...], str]]:
+    """The complete instances of :func:`enumerate_instances`, n >= 1, each as
+    its lane, the ``shared_permutations(n)`` index of its list in each slot,
+    with its digest; raises as it does, at the call."""
+    check_space("instances", _instance_space(k, n, True), MAX_INSTANCES)
+    return (
+        (head + entry[4], digest)
+        for (_, _, _, head), entry, digest in _walk_pool(k, n, True)
+    )
+
+
+def _walk_pool(k: int, n: int, complete: bool) -> Iterator[tuple[tuple, tuple, str]]:
     """One walk over ``_row_pool``: the rows of types 0..k-2 run over the
     pool in product order, and under each such prefix so does the last
-    type's row. Every instance is built through ``trusted_instance`` with
-    its tables by reference. ``hashes[t]`` is the digest state after the
+    type's row. Yields per instance its prefix as (lists, better rows,
+    whether complete, option indices), built once per prefix, its last
+    pool row, and its digest. ``hashes[t]`` is the digest state after the
     header and the rows of types below t, rebuilt from the first type whose
     row changed; each digest updates a copy of ``hashes[k - 1]`` with the
     last row alone."""
@@ -335,14 +366,16 @@ def _walk_pool(k: int, n: int, complete: bool) -> Iterator[tuple[Instance, str]]
             state.update(prefix[t][3][t])
             hashes[t + 1] = state
         base = hashes[last]
-        prefs = tuple(entry[0] for entry in prefix)
-        better = [entry[1] for entry in prefix]
-        full = all(entry[2] for entry in prefix)
-        for row, masks, row_full, lines in pool:
+        shared = (
+            tuple(entry[0] for entry in prefix),
+            [entry[1] for entry in prefix],
+            all(entry[2] for entry in prefix),
+            sum((entry[4] for entry in prefix), ()),
+        )
+        for entry in pool:
             state = base.copy()
-            state.update(lines[last])
-            inst = trusted_instance(k, n, (*prefs, row), [*better, masks], full and row_full)
-            yield inst, state.hexdigest()
+            state.update(entry[3][last])
+            yield shared, entry, state.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -565,10 +598,10 @@ def _sample_pieces(k: int, n: int) -> tuple[bytes, list[bytes], list[bytes]]:
     """The pieces of every serialization of a complete k, n instance, n in
     [1, PERM_CACHE_MAX_N]: the header, each slot's ``pref t i : `` in (t, i)
     order, and the entry text of each shared permutation with its line's
-    newline, by ``_shuffle_table`` index, all in UTF-8. They are cut from
+    newline, in order, all in UTF-8. They are cut from
     ``serialize_instance``'s own text: one instance of this shape per k * n
     permutations, the last one padded, each pref line cut after its " : "."""
-    perms = [p for p, _masks in _shuffle_table(n)[1]]
+    perms = shared_permutations(n)
     slots = k * n
     texts = []
     for start in range(0, len(perms), slots):
@@ -583,30 +616,49 @@ def _sample_pieces(k: int, n: int) -> tuple[bytes, list[bytes], list[bytes]]:
     return head, [slot + sep for slot, sep, _text in cut], texts[: len(perms)]
 
 
-def _sampled_complete(
+def _sampled_lanes(
     name: str, seed: int, k: int, n: int, samples: int
-) -> Iterator[tuple[Instance, str]]:
-    """The seeded complete instances of a sampled experiment, in order, each
-    with its digest. For n in [1, PERM_CACHE_MAX_N] the digest updates one
-    copy of the state after the header with the slot prefixes of
-    ``_sample_pieces``, built once per call, and the entry texts of the
-    drawn lists, in turn; otherwise it is ``instance_digest``."""
-    seeds = islice(_derived_seeds(seed, name), samples)
-    if not 1 <= n <= PERM_CACHE_MAX_N:
-        for derived in seeds:
-            inst = random_instance(derived, k, n, density=1.0)
-            yield inst, instance_digest(inst)
-        return
+) -> Iterator[tuple[list[int], str]]:
+    """The seeded complete instances of a sampled experiment, n in [1,
+    PERM_CACHE_MAX_N], in order, each as its lane (``_draw_picks``) with its
+    digest. The digest updates one copy of the state after the header with
+    the slot prefixes of ``_sample_pieces``, built once per call, and the
+    entry texts of the drawn lists, in turn."""
     head, prefixes, texts = _sample_pieces(k, n)
     base = digest_state(head)
     pieces = [b""] * (2 * k * n)
     pieces[::2] = prefixes
-    for derived in seeds:
-        inst, picks = _draw_complete(derived, k, n)
+    for derived in islice(_derived_seeds(seed, name), samples):
+        picks = _draw_picks(derived, k, n)
         pieces[1::2] = map(texts.__getitem__, picks)
         state = base.copy()
         state.update(b"".join(pieces))
-        yield inst, state.hexdigest()
+        yield picks, state.hexdigest()
+
+
+def _sampled_complete(
+    name: str, seed: int, k: int, n: int, samples: int
+) -> Iterator[tuple[Instance, str]]:
+    """The seeded complete instances of a sampled experiment, in order, each
+    with its digest: those of ``_sampled_lanes`` for n in [1,
+    PERM_CACHE_MAX_N], otherwise with ``instance_digest``."""
+    if 1 <= n <= PERM_CACHE_MAX_N:
+        for picks, digest in _sampled_lanes(name, seed, k, n, samples):
+            yield _picked_instance(k, n, picks), digest
+        return
+    for derived in islice(_derived_seeds(seed, name), samples):
+        inst = random_instance(derived, k, n, density=1.0)
+        yield inst, instance_digest(inst)
+
+
+def _no_stable_mask(batch: list, k: int, n: int) -> int:
+    """Bit b set iff the b-th item of ``batch`` admits no weakly stable
+    matching. For n in [1, PERM_CACHE_MAX_N] the items are lanes of complete
+    k, n instances, decided together by ``solve._scan_batch``; otherwise they
+    are instances, each counted in turn."""
+    if 1 <= n <= PERM_CACHE_MAX_N:
+        return _scan_batch(k, n, batch)
+    return sum(1 << b for b, inst in enumerate(batch) if not count_weakly_stable(inst, limit=1))
 
 
 def _existence(
@@ -621,27 +673,38 @@ def _existence(
     exhaustive = full or (
         samples is None and space_within(_instance_space(k, n, True), EXHAUSTIVE_INSTANCE_CAP)
     )
+    lanes = 1 <= n <= PERM_CACHE_MAX_N
     if exhaustive:
         mode = "exhaustive"
-        items = _pooled_instances(k, n, complete=True)
-        chunksize = 256
+        items = _pooled_lanes(k, n) if lanes else _pooled_instances(k, n, complete=True)
     else:
         if samples is None:
             samples = 100_000
         mode = f"sample-{samples}"
-        items = _sampled_complete(name, seed, k, n, samples)
-        chunksize = max(1, samples // (threads * 8))
-    counts = _map_maybe_parallel(partial(_count_digested, limit=1), items, threads, chunksize)
-    records = (
-        (digest, "stable>=1", None)
-        if count
-        else (digest, "stable=0", "admits no weakly stable matching")
-        for digest, count in counts
-    )
+        items = (_sampled_lanes if lanes else _sampled_complete)(name, seed, k, n, samples)
+    # each batch's digests wait here, in order, while its items are decided
+    digests: deque[list[str]] = deque()
+
+    def batches() -> Iterator[list]:
+        while batch := list(islice(items, EXISTENCE_BATCH)):
+            digests.append([digest for _, digest in batch])
+            yield [item for item, _ in batch]
+
+    def records() -> Iterator[Record]:
+        masks = _map_maybe_parallel(partial(_no_stable_mask, k=k, n=n), batches(), threads, 1)
+        for mask in masks:
+            batch = digests.popleft()
+            # bit b of the mask is the b-th character from the right
+            for digest, bit in zip(batch, reversed(f"{mask:0{len(batch)}b}")):
+                if bit == "1":
+                    yield digest, "stable=0", "admits no weakly stable matching"
+                else:
+                    yield digest, "stable>=1", None
+
     return _report(
         name,
         {"k": k, "mode": mode, "n": n, "seed": seed},
-        records,
+        records(),
         lambda total, failed: {
             "results_truncated": "yes" if total > RESULT_RECORD_CAP else "no",
             "with_stable": total - failed,

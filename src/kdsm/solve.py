@@ -59,6 +59,7 @@ from .core import (
     Instance,
     KdsmError,
     Matching,
+    better_row,
     check_space,
     shared_permutations,
 )
@@ -114,12 +115,10 @@ def _check_family_bound(inst: Instance) -> list[tuple[int, ...]]:
     return fams
 
 
-def _check_perfect_bound(inst: Instance) -> None:
-    """Bound checks for the perfect-matching paths of complete instances."""
-    check_space("candidate families", inst.n**inst.k, MAX_CANDIDATE_FAMILIES)
-    check_space(
-        "perfect matchings", math.factorial(inst.n) ** (inst.k - 1), MAX_PERFECT_MATCHINGS
-    )
+def _check_perfect_bound(k: int, n: int) -> None:
+    """Bound checks for the perfect-matching paths of complete k, n instances."""
+    check_space("candidate families", n**k, MAX_CANDIDATE_FAMILIES)
+    check_space("perfect matchings", math.factorial(n) ** (k - 1), MAX_PERFECT_MATCHINGS)
 
 
 # up to core's PERM_CACHE_MAX_N the shared permutations of range(n) are
@@ -261,6 +260,123 @@ def _scan_complete(inst: Instance, limit: int | None = None) -> int:
                 m ^= low
 
 
+@cache
+def _lane_tables(n: int) -> tuple[list[bytes], list[bytes]]:
+    """For 1 <= n <= PERM_CACHE_MAX_N: per partner q, the ``better`` entry at
+    q of each shared permutation of range(n), one byte each by its index in
+    ``_perms(n)`` (padded to a ``bytes.translate`` table when n! <= 256), and
+    per candidate j, the table sending such a byte to b"1" when it holds j,
+    else to b"0"."""
+    rows = [better_row(p, n) for p in shared_permutations(n)]
+    at = [bytes(row[q] for row in rows).ljust(256, b"\0") for q in range(n)]
+    bits = [bytes(b"01"[m >> j & 1] for m in range(256)) for j in range(n)]
+    return at, bits
+
+
+def _lane_masks(n: int, lanes: Sequence[Sequence[int]]) -> list[list[list[int]]]:
+    """``masks[t*n + i][q][j]``: the lanes in which (t, i) prefers j to q, bit
+    b for the b-th lane. Per slot, the lanes' permutation indices become one
+    byte column per q, each lane's ``better`` entry at q, and each column one
+    int per j, read as a binary numeral with the last lane first."""
+    at, bits = _lane_tables(n)
+    narrow = math.factorial(n) <= 256
+    masks = []
+    for col in zip(*reversed(lanes)):
+        if narrow:
+            raw = bytes(col)
+            cols = [raw.translate(table) for table in at]
+        else:
+            cols = [bytes(map(table.__getitem__, col)) for table in at]
+        masks.append([
+            [int(c.translate(b), 2) if j != q else 0 for j, b in enumerate(bits)]
+            for q, c in enumerate(cols)
+        ])
+    return masks
+
+
+def _blocked_lanes(k: int, n: int, lanes: Sequence[Sequence[int]]) -> Iterator[int]:
+    """Per perfect matching, the mask of the lanes in which it is strongly
+    blocked: ``_scan_complete``'s walk run on a batch of complete k, n
+    instances at once, 1 <= n <= PERM_CACHE_MAX_N. A lane is one instance,
+    given by the ``_perms(n)`` index of its list in each slot (t, i) in
+    order, and stands for bit b of every mask when it is the b-th. The
+    matchings come in the scan's order: the product over types 1..k-1 of
+    ``_perms(n)``, the last type fastest, type t's permutation sending each
+    type-0 agent to its family's type-t member.
+
+    The prefix walk carries ``reach[x][a]``, the lanes in which type-0 agent
+    a's improvement chain reaches agent x of the last type reached. Per
+    prefix, ``h[x][y][w]`` holds the lanes in which some type-0 agent that
+    reaches (k-2, x) is preferred by (k-1, y) to w; a last permutation then
+    blocks the OR over x and y of the lanes in which x prefers y to its
+    partner, ANDed with ``h[x][y]`` at y's partner.
+    """
+    masks = _lane_masks(n, lanes)
+    rn = range(n)
+    everyone = (1 << len(lanes)) - 1
+    mid, close = masks[(k - 2) * n : (k - 1) * n], masks[(k - 1) * n :]
+    # every type-0 agent reaches itself in every lane
+    reach = [[everyone if x == a else 0 for a in rn] for x in rn]
+    pinv: Sequence[int] = range(n)
+    walks: list[tuple[Iterator, list[list[int]], Sequence[int]]] = []
+    while True:
+        if len(walks) < k - 2:
+            walks.append((iter(_perms(n)), reach, pinv))
+        else:
+            h = [
+                [[_or_and(rx, cw) for cw in close[y]] for y in rn]
+                for rx in reach
+            ]
+            for tau, tinv in _perms(n):
+                blocked = 0
+                for x, hx in enumerate(h):
+                    row = mid[x][tau[pinv[x]]]
+                    for y in rn:
+                        blocked |= row[y] & hx[y][tinv[y]]
+                yield blocked
+        # the next permutation of the deepest walk with one left
+        while walks and (perm := next(walks[-1][0], None)) is None:
+            walks.pop()
+        if not walks:
+            return
+        _, prev, prev_pinv = walks[-1]
+        rows = masks[(len(walks) - 1) * n : len(walks) * n]
+        p, pinv = perm
+        # (t, x) passes its chains on to the agents it prefers to its partner
+        reach = [[0] * n for _ in rn]
+        for x, rx in enumerate(prev):
+            mx = rows[x][p[prev_pinv[x]]]
+            for y, m in enumerate(mx):
+                if m:
+                    ry = reach[y]
+                    for a in rn:
+                        ry[a] |= rx[a] & m
+
+
+def _or_and(xs: list[int], ys: list[int]) -> int:
+    """The OR over i of ``xs[i] & ys[i]``."""
+    out = 0
+    for x, y in zip(xs, ys):
+        out |= x & y
+    return out
+
+
+def _scan_batch(k: int, n: int, lanes: Sequence[Sequence[int]]) -> int:
+    """The mask of the lanes (see ``_blocked_lanes``) that admit no weakly
+    stable matching: those every perfect matching blocks. The walk stops as
+    soon as each lane has one matching it does not block. Past k = 3 it
+    checks the perfect-matching bounds first, as a capped count does, and
+    raises SpaceTooLargeError past them."""
+    if k != 3:
+        _check_perfect_bound(k, n)
+    undecided = (1 << len(lanes)) - 1
+    for blocked in _blocked_lanes(k, n, lanes):
+        undecided &= blocked
+        if not undecided:
+            break
+    return undecided
+
+
 def _matchings(
     inst: Instance, perfect: bool
 ) -> Iterator[tuple[list[tuple[int, ...]], list[list[int]]]]:
@@ -322,7 +438,7 @@ def enumerate_weakly_stable(inst: Instance, limit: int | None = None) -> list[Ma
     _check_limit(limit)
     perfect = inst.is_complete and inst.n >= 1
     if perfect:
-        _check_perfect_bound(inst)
+        _check_perfect_bound(inst.k, inst.n)
     else:
         _check_family_bound(inst)
     stable = (
@@ -359,7 +475,7 @@ def count_weakly_stable(inst: Instance, limit: int | None = None) -> int:
         return 0
     if inst.is_complete and inst.n >= 1:
         if limit is None or inst.k != 3:
-            _check_perfect_bound(inst)
+            _check_perfect_bound(inst.k, inst.n)
         return _scan_complete(inst, limit)
     return len(enumerate_weakly_stable(inst, limit))
 

@@ -135,6 +135,14 @@ def oracle_derived_seed(seed: int, name: str, idx: int) -> int:
     return random.Random(f"{seed}:{name}:{idx}").getrandbits(63)
 
 
+def oracle_lane(inst: Instance) -> list[int]:
+    """A complete instance as a lane of the batch kernel: the index of each
+    list, in (t, i) order, among the permutations of range(n) in
+    lexicographic order."""
+    index = {p: j for j, p in enumerate(itertools.permutations(range(inst.n)))}
+    return [index[lst] for row in inst.prefs for lst in row]
+
+
 def as_matching(families) -> Matching:
     return Matching.of([tuple(f) for f in families])
 

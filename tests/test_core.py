@@ -182,22 +182,21 @@ class TestValidation:
             (lambda: Instance(2, True, (((0,),),) * 2), DimensionError),
             (lambda: Instance(2, 1, [[(0,)], [(0,)]]), InvalidInstanceError),
             (lambda: Instance(2, 1, (((0,),), [(0,)])), InvalidInstanceError),
+            (lambda: Instance(2, 1, (((0,),), ([0],))), InvalidInstanceError),
         ],
         ids=["k1", "n-1", "two-rows", "short-row", "build-k1", "build-two-rows", "float-k",
-             "bool-n", "list-prefs", "list-row"],
+             "bool-n", "list-prefs", "list-row", "list-in-row"],
     )
     def test_bad_shape_raises_kdsm_errors(self, make, error):
         with pytest.raises(error):
             make()
 
-    def test_a_list_that_is_not_a_tuple_is_refused_by_the_list_check(self):
-        # the instance builds, as its rows are tuples, and hashes only once its
-        # lists do; the one list check names the first list that is not a tuple
-        inst = Instance(2, 1, (((0,),), ([0],)))
+    def test_a_list_that_is_not_a_tuple_is_refused_at_construction(self):
+        # the instance hashes only if its lists do, so the constructor names
+        # the first list that is not a tuple, even inside rows that are
         message = "pref (1, 0): lists must be tuples, got list"
-        assert validate_instance(inst).violations == (message,)
         with pytest.raises(InvalidInstanceError, match=re.escape(message)):
-            inst._better
+            Instance(2, 1, (((0,),), ([0],)))
         ok = (((0,),), ((0,),))
         assert hash(Instance(2, 1, ok)) == hash(Instance(2, 1, tuple(map(tuple, ok))))
 

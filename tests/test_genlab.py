@@ -27,7 +27,12 @@ from kdsm import (
 from kdsm import genlab
 from kdsm.core import shared_permutations
 from kdsm.genlab import UnknownExperimentError, list_options
-from conftest import oracle_derived_seed, oracle_enumerate_instances, oracle_random_instance
+from conftest import (
+    oracle_derived_seed,
+    oracle_enumerate_instances,
+    oracle_lane,
+    oracle_random_instance,
+)
 
 
 def tables(inst):
@@ -293,6 +298,51 @@ class TestExperiments:
             assert tables(inst) == tables(fresh) == tables(want)
             assert inst.is_complete
             assert digest == instance_digest(fresh) == instance_digest(want)
+
+    @pytest.mark.parametrize("k, n", [(3, 1), (3, 2), (6, 2)])
+    def test_pooled_lanes_are_the_pooled_instances(self, k, n):
+        pairs = [(oracle_lane(inst), digest) for inst, digest in genlab._pooled_instances(k, n, True)]
+        assert [(list(lane), digest) for lane, digest in genlab._pooled_lanes(k, n)] == pairs
+
+    @pytest.mark.parametrize("k, n", [(3, 1), (3, 3), (3, 4), (4, 3), (2, 7)])
+    def test_sampled_lanes_are_the_sampled_instances(self, k, n):
+        got = list(genlab._sampled_lanes("eriksson-bound", 3, k, n, 40))
+        want = genlab._sampled_complete("eriksson-bound", 3, k, n, 40)
+        assert got == [(oracle_lane(inst), digest) for inst, digest in want]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "kw, k, n", [(dict(n=3, samples=150), 3, 3), (dict(k=4, n=2), 4, 2)]
+    )
+    def test_lanes_the_kernel_fails_are_reported_in_place(self, monkeypatch, threads, kw, k, n):
+        # a stand-in kernel fails the lanes whose indices sum to a multiple of
+        # 3; small batches and a small result cap make the batches ragged and
+        # cut the result lines while every failure line is kept
+        def fake(k_, n_, lanes):
+            assert (k_, n_) == (k, n) and len(lanes) <= 40
+            return sum(1 << b for b, lane in enumerate(lanes) if sum(lane) % 3 == 0)
+
+        monkeypatch.setattr(genlab, "_scan_batch", fake)
+        monkeypatch.setattr(genlab, "EXISTENCE_BATCH", 40)
+        monkeypatch.setattr(genlab, "RESULT_RECORD_CAP", 50)
+        rep = run_experiment("boros-bound", seed=6, threads=threads, **kw)
+        if "samples" in kw:
+            insts = genlab._sampled_complete("boros-bound", 6, k, n, kw["samples"])
+        else:
+            insts = genlab._pooled_instances(k, n, True)
+        expected = [(digest, sum(oracle_lane(inst)) % 3 == 0) for inst, digest in insts]
+        failed = [digest for digest, fails in expected if fails]
+        assert 0 < len(failed) < len(expected)
+        assert rep.results == tuple(
+            (digest, "fail", "stable=0") if fails else (digest, "ok", "stable>=1")
+            for digest, fails in expected[:50]
+        )
+        assert rep.failures == tuple(f"{d} admits no weakly stable matching" for d in failed)
+        summary = dict(rep.summary)
+        assert summary["failures"] == str(len(failed))
+        assert summary["total"] == str(len(expected))
+        assert summary["with_stable"] == str(len(expected) - len(failed))
+        assert summary["results_truncated"] == "yes"
 
     def test_boros_n2_exhaustive(self):
         rep = run_experiment("boros-bound", n=2)

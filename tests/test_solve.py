@@ -1,6 +1,7 @@
 import gc
 import random
 from functools import partial
+from itertools import islice, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -26,10 +27,12 @@ from kdsm import (
     random_instance,
 )
 from kdsm import solve
+from kdsm.verify import first_blocker
 from conftest import (
     as_matching,
     mutate_instance,
     oracle_all_matchings,
+    oracle_lane,
     oracle_stable_matchings,
 )
 
@@ -119,6 +122,69 @@ class TestEnumerate:
                 assert gc.collect() == 0, call
         finally:
             gc.enable()
+
+
+def batch_verdicts(k, n, insts, size):
+    """Per instance, whether ``_scan_batch`` finds it without a weakly stable
+    matching, deciding ``size`` lanes at a time."""
+    out = []
+    for start in range(0, len(insts), size):
+        chunk = insts[start : start + size]
+        mask = solve._scan_batch(k, n, [oracle_lane(inst) for inst in chunk])
+        assert mask >> len(chunk) == 0
+        out += [bool(mask >> b & 1) for b in range(len(chunk))]
+    return out
+
+
+class TestScanBatch:
+    """The batch kernel against the per-instance capped count, lane by lane."""
+
+    @pytest.mark.parametrize("k, n", [(3, 1), (3, 2), (4, 2), (5, 2), (6, 2)])
+    def test_every_exhaustive_lane_matches_the_capped_count(self, k, n):
+        insts = list(enumerate_instances(k, n, True))
+        want = [count_weakly_stable(inst, limit=1) == 0 for inst in insts]
+        assert batch_verdicts(k, n, insts, 4096) == want
+
+    @pytest.mark.parametrize("start", [0, 46_656 - 1000])  # the second crosses a type-1 step
+    def test_a_k3n3_slice_matches_the_capped_count(self, start):
+        insts = list(islice(enumerate_instances(3, 3, True), start, start + 2000))
+        want = [count_weakly_stable(inst, limit=1) == 0 for inst in insts]
+        assert batch_verdicts(3, 3, insts, 1024) == want
+
+    # n = 6 and 7 take the lanes' indices through map, not bytes.translate
+    @pytest.mark.parametrize(
+        "k, n", [(3, 3), (3, 4), (3, 5), (4, 3), (5, 2), (5, 3), (2, 6), (2, 7)]
+    )
+    def test_sampled_lanes_match_the_capped_count_at_ragged_sizes(self, k, n):
+        rng = random.Random(k * 10 + n)
+        insts = [random_instance(rng.getrandbits(63), k, n) for _ in range(130)]
+        want = [count_weakly_stable(inst, limit=1) == 0 for inst in insts]
+        for size in (1, 63, 64, 65):
+            assert batch_verdicts(k, n, insts, size) == want, size
+
+    @pytest.mark.parametrize("k, n", [(2, 3), (3, 2), (3, 3), (4, 2), (2, 6)])
+    def test_each_matchings_blocked_lanes_are_first_blockers(self, k, n):
+        # every perfect matching, in the scan's order: type t's permutation
+        # sends each type-0 agent to its family's type-t member
+        rng = random.Random(n * 10 + k)
+        insts = [random_instance(rng.getrandbits(63), k, n) for _ in range(65)]
+        insts.append(Instance(k, n, ((tuple(range(n)),) * n,) * k))
+        walk = solve._blocked_lanes(k, n, [oracle_lane(inst) for inst in insts])
+        for perms in product(permutations(range(n)), repeat=k - 1):
+            members = (tuple(range(n)), *perms)
+            rows = [[-1] * n for _ in range(k)]
+            for t in range(k):
+                for a in range(n):
+                    rows[t][members[t][a]] = members[(t + 1) % k][a]
+            blocked = next(walk)
+            for b, inst in enumerate(insts):
+                assert (blocked >> b & 1) == (first_blocker(inst, rows) is not None), b
+        assert next(walk, None) is None
+
+    def test_past_k3_the_perfect_bound_is_checked(self):
+        # as count_weakly_stable(inst, limit=1) does: (6!)^3 perfect matchings
+        with pytest.raises(SpaceTooLargeError):
+            solve._scan_batch(4, 6, [[0] * 24])
 
 
 class TestCount:
