@@ -7,9 +7,10 @@ predecessor in the cycle; a matching is a set of agent-disjoint families.
 
 This module owns the immutable data types, preference semantics, validation
 diagnostics, and the canonical text formats for instances and matchings. It
-decides each input check in one place for every module: building
-``Instance._better`` checks the lists (:func:`validate_instance` is its
-report form), :func:`check_dims` the dimensions, :func:`check_space` an
+decides each input check in one place for every module: the constructor
+checks the shape of ``prefs``, tuples all the way down, building
+``Instance._better`` checks the lists' entries (:func:`validate_instance`
+is its report form), :func:`check_dims` the dimensions, :func:`check_space` an
 exhaustive space against its fixed bound, and :func:`matching_rows` whether
 a matching fits. It also holds the shared permutations of range(n) for n up
 to ``PERM_CACHE_MAX_N`` (:func:`shared_permutations`), whose ``_better`` rows
@@ -244,8 +245,8 @@ class Instance:
     @cached_property
     def _better(self) -> list[list[Sequence[int]]]:
         # _better[t][i]: the better_row of agent (t, i)'s list. Building it
-        # is the one list check: InvalidInstanceError names the first list,
-        # in (t, i) order, that better_row refuses.
+        # is the one check of the entries: InvalidInstanceError names the
+        # first list, in (t, i) order, that better_row refuses.
         n = self.n
         table = []
         for t, row in enumerate(self.prefs):

@@ -15,36 +15,39 @@ candidate, kept when the draw is below the density) and then shuffles the
 kept candidates in place with kdsm's own Fisher–Yates, ``_shuffle``, which
 makes the draws of the stdlib's ``_randbelow``, so a change to the stdlib's
 ``shuffle`` cannot move the stream. At density 1 and n <=
-``PERM_CACHE_MAX_N`` (``_draw_complete``) the n floats are read as one
+``PERM_CACHE_MAX_N`` (``_draw_picks``) the n floats are read as one
 ``getrandbits(64 * n)``, the same 2n words, and each list is the shared
-permutation of ``core.shared_permutations`` that the shuffle's draws select;
-the instance gets the permutations' ``_better`` rows as it is drawn.
+permutation of ``core.shared_permutations`` that the shuffle's draws select,
+drawn as its index there.
 
-The lists the library draws itself, those of ``_draw_complete`` and of the
+The lists the library draws itself, those of ``_draw_picks`` and of the
 exhaustive walk, skip the public checks: ``core.trusted_instance`` builds
 the frozen instance with its tables, and it is the one constructor that
 does. ``enumerate_instances`` walks a pool of rows, ``product(list_options(n,
 complete), repeat=n)`` built once per call, each row with its ``_better``
-rows, its completeness and its ``pref`` lines per type; every instance gets
-its tables by reference. The existence runs take each instance with its
-digest, built from a copy of a hash state (``core.digest_state``) and
-pieces cut from ``serialize_instance``'s own text, so ``instance_digest``
-stays the one definition of the digest. The exhaustive walk copies the
-state after the header and the unchanged prefix rows and adds the last row.
-A sampled instance, n in [1, ``PERM_CACHE_MAX_N``], updates a copy of the
-state after the header with each slot's ``pref t i : `` and the entry text
-of the permutation drawn there (``_sample_pieces``, O(k·n + n!) per call);
-past that n its digest is ``instance_digest``.
+rows, its completeness, its ``pref`` lines per type and its lists' option
+indices; every instance gets its tables by reference. The existence runs
+take each instance with its digest, built from a copy of a hash state
+(``core.digest_state``) and pieces cut from ``serialize_instance``'s own
+text, so ``instance_digest`` stays the one definition of the digest. The
+exhaustive walk copies the state after the header and the unchanged prefix
+rows and adds the last row. A sampled instance, n in [1,
+``PERM_CACHE_MAX_N``], updates a copy of the state after the header with
+each slot's ``pref t i : `` and the entry text of the permutation drawn
+there (``_sample_pieces``, O(k·n + n!) per call); past that n its digest is
+``instance_digest``.
 
 Every experiment runs the same pipeline. Its runner yields one record per
 instance, ``(digest, detail, problem)``, with ``problem`` None when the
 instance passed; ``_report`` turns the records into the one report shape
 (result lines, failure lines, totals, params and summary in key order).
-``EXPERIMENTS`` maps each id to its runner and defaults. Stable matchings
-are counted through ``solve.count_weakly_stable``, which alone decides
-between the complete-instance scan (every k) and enumeration; in the pool
-its per-instance form is ``_count_digested``, which takes an instance with
-its digest.
+``EXPERIMENTS`` maps each id to its runner and defaults. An existence run
+decides ``EXISTENCE_BATCH`` instances at a time at every thread count: for
+n in [1, ``PERM_CACHE_MAX_N``] as lanes, the shared-permutation index of
+each slot's list, through ``solve._scan_batch``, one bit per lane;
+otherwise as instances, each through ``count_weakly_stable(limit=1)``. The
+full counts of ``pp-two-matchings`` go through ``count_weakly_stable`` per
+instance (``_count_digested``).
 """
 
 from __future__ import annotations
@@ -163,13 +166,6 @@ def _shuffle_table(n: int) -> tuple[list[tuple[int, int]], list[int]]:
     return steps, out
 
 
-@cache
-def _shared_rows(n: int) -> list[tuple[tuple[int, ...], Sequence[int]]]:
-    """Each shared permutation of range(n), n <= PERM_CACHE_MAX_N, with its
-    ``better_row``, in order."""
-    return [(p, better_row(p, n)) for p in shared_permutations(n)]
-
-
 def _check_int(name: str, value: int) -> None:
     """Raise ArgumentError unless ``value`` is an int (a bool is not)."""
     if type(value) is not int:
@@ -200,9 +196,9 @@ def random_instance(seed: int, k: int, n: int, density: float = 1.0) -> Instance
 
 def _draw_picks(seed: int, k: int, n: int) -> list[int]:
     """The ``shared_permutations(n)`` index of each list of
-    ``random_instance(seed, k, n)``, n <= PERM_CACHE_MAX_N, in (t, i) order.
-    Every candidate is kept: the n inclusion draws are 2n words, then each
-    list is the shared permutation that ``_shuffle``'s draws select."""
+    ``random_instance(seed, k, n)``, n <= PERM_CACHE_MAX_N, in (t, i) order:
+    every candidate is kept, so per slot the n inclusion draws are 2n words,
+    then ``_shuffle``'s draws select the permutation."""
     getrandbits = _random.Random(seed).getrandbits
     steps, order = _shuffle_table(n)
     skip = 64 * n
@@ -222,15 +218,10 @@ def _draw_picks(seed: int, k: int, n: int) -> list[int]:
 def _picked_instance(k: int, n: int, picks: Sequence[int]) -> Instance:
     """The complete instance whose (t, i) list is the ``picks[t * n + i]``-th
     shared permutation, built with its tables."""
-    rows = _shared_rows(n)
-    slots = [rows[j] for j in picks]
-    prefs = []
-    table = []
-    for t in range(k):
-        row = slots[t * n : (t + 1) * n]
-        prefs.append(tuple(p for p, _ in row))
-        table.append([masks for _, masks in row])
-    return trusted_instance(k, n, tuple(prefs), table, True)
+    perms = shared_permutations(n)
+    prefs = tuple(tuple(perms[j] for j in picks[t * n : (t + 1) * n]) for t in range(k))
+    table = [[better_row(p, n) for p in row] for row in prefs]
+    return trusted_instance(k, n, prefs, table, True)
 
 
 def random_matching(inst: Instance, seed: int, keep: float = 0.7) -> Matching:
@@ -302,11 +293,10 @@ def _serialized_lines(inst: Instance) -> list[bytes]:
 def _row_pool(k: int, n: int, complete: bool) -> tuple[bytes, list[tuple]]:
     """The header of every k, n serialization, and every row of n admissible
     lists in product order as (its lists, their better rows, whether every
-    list is complete, its pref lines in UTF-8 for each type, the index of
-    each list in ``list_options(n, complete)``). A row's lines are cut from
-    the serialization of the instance whose every type has that row: three
-    header lines, then n lines per type. The indices of complete lists are
-    their ``shared_permutations(n)`` indices."""
+    list is complete, its pref lines in UTF-8 for each type, each list's
+    index in ``list_options(n, complete)``). A row's lines are cut from the
+    serialization of the instance whose every type has that row: three
+    header lines, then n lines per type."""
     options = [(lst, tuple(better_row(lst, n))) for lst in list_options(n, complete)]
     pool = []
     for combo in product(enumerate(options), repeat=n):
@@ -334,9 +324,8 @@ def _pooled_instances(k: int, n: int, complete: bool) -> Iterator[tuple[Instance
 
 
 def _pooled_lanes(k: int, n: int) -> Iterator[tuple[tuple[int, ...], str]]:
-    """The complete instances of :func:`enumerate_instances`, n >= 1, each as
-    its lane, the ``shared_permutations(n)`` index of its list in each slot,
-    with its digest; raises as it does, at the call."""
+    """:func:`_pooled_instances` of complete lists, n >= 1, each instance as
+    its lane, the ``shared_permutations(n)`` index of each slot's list."""
     check_space("instances", _instance_space(k, n, True), MAX_INSTANCES)
     return (
         (head + entry[4], digest)
@@ -347,9 +336,9 @@ def _pooled_lanes(k: int, n: int) -> Iterator[tuple[tuple[int, ...], str]]:
 def _walk_pool(k: int, n: int, complete: bool) -> Iterator[tuple[tuple, tuple, str]]:
     """One walk over ``_row_pool``: the rows of types 0..k-2 run over the
     pool in product order, and under each such prefix so does the last
-    type's row. Yields per instance its prefix as (lists, better rows,
-    whether complete, option indices), built once per prefix, its last
-    pool row, and its digest. ``hashes[t]`` is the digest state after the
+    type's row. Yields per instance its prefix (lists, better rows, whether
+    complete, option indices; one tuple per prefix), its last pool row and
+    its digest. ``hashes[t]`` is the digest state after the
     header and the rows of types below t, rebuilt from the first type whose
     row changed; each digest updates a copy of ``hashes[k - 1]`` with the
     last row alone."""
@@ -621,9 +610,9 @@ def _sampled_lanes(
 ) -> Iterator[tuple[list[int], str]]:
     """The seeded complete instances of a sampled experiment, n in [1,
     PERM_CACHE_MAX_N], in order, each as its lane (``_draw_picks``) with its
-    digest. The digest updates one copy of the state after the header with
-    the slot prefixes of ``_sample_pieces``, built once per call, and the
-    entry texts of the drawn lists, in turn."""
+    digest: a copy of the state after the header updated with the slot
+    prefixes of ``_sample_pieces``, built once per call, and the entry
+    texts of the drawn lists, in turn."""
     head, prefixes, texts = _sample_pieces(k, n)
     base = digest_state(head)
     pieces = [b""] * (2 * k * n)
@@ -653,9 +642,8 @@ def _sampled_complete(
 
 def _no_stable_mask(batch: list, k: int, n: int) -> int:
     """Bit b set iff the b-th item of ``batch`` admits no weakly stable
-    matching. For n in [1, PERM_CACHE_MAX_N] the items are lanes of complete
-    k, n instances, decided together by ``solve._scan_batch``; otherwise they
-    are instances, each counted in turn."""
+    matching: lanes of complete k, n instances for n in [1,
+    PERM_CACHE_MAX_N], otherwise instances."""
     if 1 <= n <= PERM_CACHE_MAX_N:
         return _scan_batch(k, n, batch)
     return sum(1 << b for b, inst in enumerate(batch) if not count_weakly_stable(inst, limit=1))

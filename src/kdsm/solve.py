@@ -23,6 +23,13 @@ with one subset walk (``_matchings``), which gives the canonical order
 and, restricted to perfect matchings, serves as the scan's oracle in the
 tests.
 
+Whether complete instances admit a weakly stable matching at all is
+decided a batch at a time by ``_scan_batch``, the existence experiments'
+kernel, for 1 <= n <= ``PERM_CACHE_MAX_N``: the scan's walk over the
+perfect matchings, run once for the whole batch, with bit b of every mask
+standing for the b-th instance (its lane). ``count_weakly_stable`` with
+``limit=1`` stays the per-instance answer and the kernel's oracle.
+
 The budgeted solver is a backtracking search over per-type-0-agent
 decisions (join a family or stay unmatched), run as one loop over a stack
 of per-level decision iterators, the shape of ``_matchings``. A decision
@@ -49,8 +56,9 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, reduce
 from itertools import chain, islice, permutations
+from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -262,71 +270,54 @@ def _scan_complete(inst: Instance, limit: int | None = None) -> int:
 
 @cache
 def _lane_tables(n: int) -> tuple[list[bytes], list[bytes]]:
-    """For 1 <= n <= PERM_CACHE_MAX_N: per partner q, the ``better`` entry at
-    q of each shared permutation of range(n), one byte each by its index in
-    ``_perms(n)`` (padded to a ``bytes.translate`` table when n! <= 256), and
-    per candidate j, the table sending such a byte to b"1" when it holds j,
-    else to b"0"."""
+    """Per partner q, the ``better`` entry at q of each permutation of
+    ``_perms(n)``, one byte by its index (a ``bytes.translate`` table while
+    n! <= 256); per candidate j, the table sending such a byte to b"1" when
+    it holds j, else to b"0"."""
     rows = [better_row(p, n) for p in shared_permutations(n)]
     at = [bytes(row[q] for row in rows).ljust(256, b"\0") for q in range(n)]
-    bits = [bytes(b"01"[m >> j & 1] for m in range(256)) for j in range(n)]
-    return at, bits
-
-
-def _lane_masks(n: int, lanes: Sequence[Sequence[int]]) -> list[list[list[int]]]:
-    """``masks[t*n + i][q][j]``: the lanes in which (t, i) prefers j to q, bit
-    b for the b-th lane. Per slot, the lanes' permutation indices become one
-    byte column per q, each lane's ``better`` entry at q, and each column one
-    int per j, read as a binary numeral with the last lane first."""
-    at, bits = _lane_tables(n)
-    narrow = math.factorial(n) <= 256
-    masks = []
-    for col in zip(*reversed(lanes)):
-        if narrow:
-            raw = bytes(col)
-            cols = [raw.translate(table) for table in at]
-        else:
-            cols = [bytes(map(table.__getitem__, col)) for table in at]
-        masks.append([
-            [int(c.translate(b), 2) if j != q else 0 for j, b in enumerate(bits)]
-            for q, c in enumerate(cols)
-        ])
-    return masks
+    return at, [bytes(b"01"[m >> j & 1] for m in range(256)) for j in range(n)]
 
 
 def _blocked_lanes(k: int, n: int, lanes: Sequence[Sequence[int]]) -> Iterator[int]:
-    """Per perfect matching, the mask of the lanes in which it is strongly
-    blocked: ``_scan_complete``'s walk run on a batch of complete k, n
-    instances at once, 1 <= n <= PERM_CACHE_MAX_N. A lane is one instance,
-    given by the ``_perms(n)`` index of its list in each slot (t, i) in
-    order, and stands for bit b of every mask when it is the b-th. The
-    matchings come in the scan's order: the product over types 1..k-1 of
-    ``_perms(n)``, the last type fastest, type t's permutation sending each
-    type-0 agent to its family's type-t member.
+    """Per perfect matching, the mask of the lanes that strongly block it:
+    ``_scan_complete``'s walk over a batch of complete k, n instances at
+    once, 1 <= n <= PERM_CACHE_MAX_N. The b-th lane, bit b of every mask,
+    is one instance: the ``_perms(n)`` index of its list in each slot (t, i)
+    in order. The matchings come in the scan's order, the product over
+    types 1..k-1 of ``_perms(n)``, the last type fastest.
 
-    The prefix walk carries ``reach[x][a]``, the lanes in which type-0 agent
-    a's improvement chain reaches agent x of the last type reached. Per
-    prefix, ``h[x][y][w]`` holds the lanes in which some type-0 agent that
-    reaches (k-2, x) is preferred by (k-1, y) to w; a last permutation then
-    blocks the OR over x and y of the lanes in which x prefers y to its
-    partner, ANDed with ``h[x][y]`` at y's partner.
+    ``reach[x][a]`` holds the lanes in which type-0 agent a's improvement
+    chain reaches agent x of the last type reached. Per prefix,
+    ``h[x][y][w]`` holds the lanes in which (k-1, y) prefers to w some
+    type-0 agent reaching (k-2, x), so a last permutation is blocked in the
+    OR over x and y of the lanes in which x prefers y to its partner and
+    ``h[x][y]`` at y's partner.
     """
-    masks = _lane_masks(n, lanes)
+    at, bits = _lane_tables(n)
+    # masks[t*n + i][q][j]: the lanes in which (t, i) prefers j to q; each
+    # slot's column of indices, last lane first, becomes one byte column per
+    # q and one binary numeral per j
+    masks = []
+    for col in zip(*reversed(lanes)):
+        raw = bytes(col) if len(_perms(n)) <= 256 else None
+        masks.append([
+            [int(c.translate(b), 2) if j != q else 0 for j, b in enumerate(bits)]
+            for q, c in enumerate(
+                raw.translate(t) if raw else bytes(map(t.__getitem__, col)) for t in at
+            )
+        ])
     rn = range(n)
-    everyone = (1 << len(lanes)) - 1
     mid, close = masks[(k - 2) * n : (k - 1) * n], masks[(k - 1) * n :]
     # every type-0 agent reaches itself in every lane
-    reach = [[everyone if x == a else 0 for a in rn] for x in rn]
-    pinv: Sequence[int] = range(n)
+    reach = [[(1 << len(lanes)) - 1 if x == a else 0 for a in rn] for x in rn]
+    pinv: Sequence[int] = rn
     walks: list[tuple[Iterator, list[list[int]], Sequence[int]]] = []
     while True:
         if len(walks) < k - 2:
             walks.append((iter(_perms(n)), reach, pinv))
         else:
-            h = [
-                [[_or_and(rx, cw) for cw in close[y]] for y in rn]
-                for rx in reach
-            ]
+            h = [[[reduce(or_, map(and_, rx, cw)) for cw in close[y]] for y in rn] for rx in reach]
             for tau, tinv in _perms(n):
                 blocked = 0
                 for x, hx in enumerate(h):
@@ -345,28 +336,16 @@ def _blocked_lanes(k: int, n: int, lanes: Sequence[Sequence[int]]) -> Iterator[i
         # (t, x) passes its chains on to the agents it prefers to its partner
         reach = [[0] * n for _ in rn]
         for x, rx in enumerate(prev):
-            mx = rows[x][p[prev_pinv[x]]]
-            for y, m in enumerate(mx):
+            for y, m in enumerate(rows[x][p[prev_pinv[x]]]):
                 if m:
-                    ry = reach[y]
-                    for a in rn:
-                        ry[a] |= rx[a] & m
-
-
-def _or_and(xs: list[int], ys: list[int]) -> int:
-    """The OR over i of ``xs[i] & ys[i]``."""
-    out = 0
-    for x, y in zip(xs, ys):
-        out |= x & y
-    return out
+                    reach[y] = [r | c & m for r, c in zip(reach[y], rx)]
 
 
 def _scan_batch(k: int, n: int, lanes: Sequence[Sequence[int]]) -> int:
     """The mask of the lanes (see ``_blocked_lanes``) that admit no weakly
-    stable matching: those every perfect matching blocks. The walk stops as
-    soon as each lane has one matching it does not block. Past k = 3 it
-    checks the perfect-matching bounds first, as a capped count does, and
-    raises SpaceTooLargeError past them."""
+    stable matching, found by walking the matchings until each lane has one
+    it does not block. Past k = 3 it first checks the perfect-matching
+    bounds, as a capped count does."""
     if k != 3:
         _check_perfect_bound(k, n)
     undecided = (1 << len(lanes)) - 1
