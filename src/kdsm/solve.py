@@ -280,12 +280,12 @@ def _lane_tables(n: int) -> tuple[list[bytes], list[bytes]]:
 
 
 def _blocked_lanes(k: int, n: int, lanes: Sequence[Sequence[int]]) -> Iterator[int]:
-    """Per perfect matching, the mask of the lanes that strongly block it:
-    ``_scan_complete``'s walk over a batch of complete k, n instances at
-    once, 1 <= n <= PERM_CACHE_MAX_N. The b-th lane, bit b of every mask,
-    is one instance: the ``_perms(n)`` index of its list in each slot (t, i)
-    in order. The matchings come in the scan's order, the product over
-    types 1..k-1 of ``_perms(n)``, the last type fastest.
+    """Per perfect matching, the mask of the lanes in which a family
+    strongly blocks it: ``_scan_complete``'s walk over a batch of complete
+    k, n instances at once, 1 <= n <= PERM_CACHE_MAX_N. The b-th lane, bit b
+    of every mask, is one instance: the ``_perms(n)`` index of its list in
+    each slot (t, i) in order. The matchings come in the scan's order, the
+    product over types 1..k-1 of ``_perms(n)``, the last type fastest.
 
     ``reach[x][a]`` holds the lanes in which type-0 agent a's improvement
     chain reaches agent x of the last type reached. Per prefix,
