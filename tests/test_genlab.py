@@ -301,8 +301,9 @@ class TestExperiments:
 
     @pytest.mark.parametrize("k, n", [(3, 1), (3, 2), (6, 2)])
     def test_pooled_lanes_are_the_pooled_instances(self, k, n):
-        pairs = [(oracle_lane(inst), digest) for inst, digest in genlab._pooled_instances(k, n, True)]
-        assert [(list(lane), digest) for lane, digest in genlab._pooled_lanes(k, n)] == pairs
+        want = genlab._pooled_instances(k, n, True)
+        got = [(list(lane), digest) for lane, digest in genlab._pooled_lanes(k, n)]
+        assert got == [(oracle_lane(inst), digest) for inst, digest in want]
 
     @pytest.mark.parametrize("k, n", [(3, 1), (3, 3), (3, 4), (4, 3), (2, 7)])
     def test_sampled_lanes_are_the_sampled_instances(self, k, n):
