@@ -43,9 +43,9 @@ instance passed; ``_report`` turns the records into the one report shape
 (result lines, failure lines, totals, params and summary in key order).
 ``EXPERIMENTS`` maps each id to its runner and defaults. An existence run
 decides ``EXISTENCE_BATCH`` instances at a time at every thread count: for
-n in [1, ``PERM_CACHE_MAX_N``] as lanes, the shared-permutation index of
-each slot's list, through ``solve._scan_batch``, one bit per lane;
-otherwise as instances, each through ``count_weakly_stable(limit=1)``. The
+n in [1, ``BATCH_MAX_N``] as lanes, the shared-permutation index of each
+slot's list, through ``solve._scan_batch``, one bit per lane; otherwise as
+instances, each through ``count_weakly_stable(limit=1)``. The
 full counts of ``pp-two-matchings`` go through ``count_weakly_stable`` per
 instance (``_count_digested``).
 """
@@ -61,7 +61,6 @@ from functools import cache, partial
 from hashlib import sha512
 from itertools import count, islice, permutations, product
 from math import factorial, perm
-from multiprocessing import Pool
 from numbers import Real
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -118,6 +117,10 @@ EXHAUSTIVE_INSTANCE_CAP = 200_000
 RESULT_RECORD_CAP = 200_000
 # an existence run decides its instances this many at a time, one bit each
 EXISTENCE_BATCH = 4096
+# up to this n a batch is decided as lanes by solve._scan_batch; from n = 7
+# its walk until the worst lane has a stable matching costs more than one
+# capped scan per instance
+BATCH_MAX_N = 6
 # search_counterexample enumerates a size whose instance space fits under this
 # cap and otherwise runs _hill_climb: this many stable-count evaluations over
 # random lists of this density
@@ -282,7 +285,7 @@ def enumerate_instances(k: int, n: int, complete: bool) -> Iterator[Instance]:
     the call, before any instance is built; a space far past the bound is
     refused from its size, without computing its count.
     """
-    return (inst for inst, _digest in _pooled_instances(k, n, complete))
+    return (inst for inst, _ in _pooled_instances(k, n, complete, digested=False))
 
 
 def _serialized_lines(inst: Instance) -> list[bytes]:
@@ -312,14 +315,16 @@ def _row_pool(k: int, n: int, complete: bool) -> tuple[bytes, list[tuple]]:
     return b"".join(lines[:3]), pool
 
 
-def _pooled_instances(k: int, n: int, complete: bool) -> Iterator[tuple[Instance, str]]:
-    """:func:`enumerate_instances` with each instance's digest; raises as it
-    does, at the call."""
+def _pooled_instances(
+    k: int, n: int, complete: bool, digested: bool = True
+) -> Iterator[tuple[Instance, str | None]]:
+    """:func:`enumerate_instances` with each instance's digest, None unless
+    ``digested``; raises as it does, at the call."""
     check_space("instances", _instance_space(k, n, complete), MAX_INSTANCES)
     return (
         (trusted_instance(k, n, (*prefs, row), [*better, masks], full and row_full), digest)
         for (prefs, better, full, _), (row, masks, row_full, _, _), digest
-        in _walk_pool(k, n, complete)
+        in _walk_pool(k, n, complete, digested)
     )
 
 
@@ -333,15 +338,17 @@ def _pooled_lanes(k: int, n: int) -> Iterator[tuple[tuple[int, ...], str]]:
     )
 
 
-def _walk_pool(k: int, n: int, complete: bool) -> Iterator[tuple[tuple, tuple, str]]:
+def _walk_pool(
+    k: int, n: int, complete: bool, digested: bool = True
+) -> Iterator[tuple[tuple, tuple, str | None]]:
     """One walk over ``_row_pool``: the rows of types 0..k-2 run over the
     pool in product order, and under each such prefix so does the last
     type's row. Yields per instance its prefix (lists, better rows, whether
     complete, option indices; one tuple per prefix), its last pool row and
-    its digest. ``hashes[t]`` is the digest state after the
-    header and the rows of types below t, rebuilt from the first type whose
-    row changed; each digest updates a copy of ``hashes[k - 1]`` with the
-    last row alone."""
+    its digest, None unless ``digested``. ``hashes[t]`` is the digest state
+    after the header and the rows of types below t, rebuilt from the first
+    type whose row changed; each digest updates a copy of ``hashes[k - 1]``
+    with the last row alone."""
     head, pool = _row_pool(k, n, complete)
     last = k - 1
     hashes = [digest_state(head)] + [None] * last
@@ -361,6 +368,10 @@ def _walk_pool(k: int, n: int, complete: bool) -> Iterator[tuple[tuple, tuple, s
             all(entry[2] for entry in prefix),
             sum((entry[4] for entry in prefix), ()),
         )
+        if not digested:
+            for entry in pool:
+                yield shared, entry, None
+            continue
         for entry in pool:
             state = base.copy()
             state.update(entry[3][last])
@@ -523,6 +534,8 @@ def _map_maybe_parallel(
     if threads <= 1:
         yield from map(worker, items)
         return
+    from multiprocessing import Pool  # a single-threaded run never loads it
+
     with Pool(processes=threads) as pool:
         yield from pool.imap(worker, items, chunksize=chunksize)
 
@@ -642,9 +655,9 @@ def _sampled_complete(
 
 def _no_stable_mask(batch: list, k: int, n: int) -> int:
     """Bit b set iff the b-th item of ``batch`` admits no weakly stable
-    matching: lanes of complete k, n instances for n in [1,
-    PERM_CACHE_MAX_N], otherwise instances."""
-    if 1 <= n <= PERM_CACHE_MAX_N:
+    matching: lanes of complete k, n instances for n in [1, BATCH_MAX_N],
+    otherwise instances."""
+    if 1 <= n <= BATCH_MAX_N:
         return _scan_batch(k, n, batch)
     return sum(1 << b for b, inst in enumerate(batch) if not count_weakly_stable(inst, limit=1))
 
@@ -661,7 +674,7 @@ def _existence(
     exhaustive = full or (
         samples is None and space_within(_instance_space(k, n, True), EXHAUSTIVE_INSTANCE_CAP)
     )
-    lanes = 1 <= n <= PERM_CACHE_MAX_N
+    lanes = 1 <= n <= BATCH_MAX_N
     if exhaustive:
         mode = "exhaustive"
         items = _pooled_lanes(k, n) if lanes else _pooled_instances(k, n, complete=True)

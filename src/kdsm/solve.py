@@ -38,7 +38,11 @@ blocking with all k members' assignments finalized; such a family can
 never be repaired deeper in the branch. A blocked complete candidate
 backjumps to the deepest level that finalized a member of its blocking
 family: the levels deeper than it are undone and popped. A stable leaf or the
-spent budget ends the loop with its status.
+spent budget ends the loop with its status. A family blocked by the walk
+anchored at its type-0 member leaves a memo of the agents that walk read:
+a later family of the level that differs from it only in its last member,
+outside that set, is blocked by the same walk at the same work, so it is
+counted as a node without being committed or walked.
 
 The subset walk and the budgeted solver hold their current matching in
 the partner-row form of :mod:`kdsm.verify` (``rows[t][i]`` is the partner
@@ -464,7 +468,8 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
 
     Type-0 agents are processed in index order; each either anchors a new
     family (partner tuples tried in lexicographic order) or stays
-    unmatched (tried last). A node is a committed decision. FOUND carries
+    unmatched (tried last). A node is a decision tried: committed, or a
+    sibling the level's memo shows blocked (module docstring). FOUND carries
     a matching re-certified by the verifier; EXHAUSTED-NONE certifies that
     the whole decision tree was covered. Node counts are deterministic.
     """
@@ -489,24 +494,37 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
         )
 
     acc = improvement_masks(inst, [[-1] * n] * k)  # acceptable masks
+    better = inst._better
     rows = [[-1] * n for _ in range(k)]  # partner index or -1
     free = [(1 << n) - 1] * k  # per type, the bitmask of unmatched agents
     decided = 0  # type-0 agents with a final decision
     chosen: list[tuple[int, ...] | None] = [None] * n
     nodes = 0
 
-    # the anchored-blocker walk's anchor index and work left
+    # the anchored-blocker walk's anchor index and work left; read[t] covers
+    # the type-t agents whose finalized flag the walk may test (t >= 1)
     anchor = 0
     work = 0
+    read = [0] * k
 
     def walk(step: int, t: int, i: int) -> bool:
         """Close a blocking family on the anchor from (t, i), its step-th member,
         through finalized agents (matched, or of type 0 and decided). Every
         list entry read before the partner costs one unit of work first."""
         nonlocal work
-        nt = t + 1 if t + 1 < k else 0
         p = rows[t][i]
-        closing = step == k - 1
+        if step == k - 1:  # the last member: it closes on the anchor or not at all
+            for j in prefs[t][i]:
+                if j == p:
+                    break
+                work -= 1
+                if work <= 0:
+                    return False
+                if j == anchor:
+                    return True
+            return False
+        nt = t + 1 if t + 1 < k else 0
+        read[nt] |= better[t][i][p]
         row = rows[nt]
         for j in prefs[t][i]:
             if j == p:
@@ -514,16 +532,20 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
             work -= 1
             if work <= 0:
                 return False
-            if closing:
-                if j == anchor:
-                    return True
-            elif (row[j] >= 0 or (nt == 0 and j < decided)) and walk(step + 1, nt, j):
+            if (row[j] >= 0 or (nt == 0 and j < decided)) and walk(step + 1, nt, j):
                 return True
         return False
 
     # per level d, the decisions of type-0 agent d: the families through d
     # in lexicographic order, then None: unmatched
     levels = [chain(lex_families(acc, free, (0,)), (None,))]
+    # per level, at most one memo (prefix, read[k-1]) of a family f that the
+    # walk from (0, d) blocked without reading a member f[t], t >= 2, in
+    # read[t]. That walk never enters (1, f[1]); a sibling, a later family
+    # of the level with f's members of types 0..k-2, differs from f only in
+    # its last member and the partner of (k-2, f[k-2]), so with its last
+    # member outside read[k-1] the same walk blocks it at the same work
+    memos: list[tuple[tuple[int, ...], int] | None] = [None] * n
     back = n  # a pending backjump level: the levels deeper than it are undone and popped
     status = SolveStatus.EXHAUSTED_NONE
     while levels:
@@ -549,6 +571,9 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
             break
         decided = d + 1
         if fam is not None:
+            memo = memos[d]
+            if memo is not None and not memo[1] >> fam[-1] & 1 and memo[0] == fam[:-1]:
+                continue  # a blocked sibling: no commit, walk or undo
             for t in range(k):
                 i = fam[t]
                 rows[t][i] = fam[t + 1 if t + 1 < k else 0]
@@ -558,12 +583,20 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
         # d alone) closing among finalized agents, each anchor's walk capped
         # at PRUNE_WORK_CAP, holds an agent finalized at level d, so it never
         # jumps back: the next decision of the level follows
+        read = [0] * k
         for t, anchor in enumerate(fam or (d,)):
             work = PRUNE_WORK_CAP
             if walk(0, t, anchor):
+                if fam and not t:
+                    for s in range(2, k):
+                        if read[s] >> fam[s] & 1:
+                            break
+                    else:
+                        memos[d] = (fam[:-1], read[-1])
                 break
         else:
             if decided < n:
+                memos[decided] = None
                 levels.append(chain(lex_families(acc, free, (decided,)), (None,)))
                 continue
             blk = first_blocker(inst, rows)

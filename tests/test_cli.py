@@ -356,6 +356,18 @@ class TestExperimentCmd:
         assert proc.returncode == 3
         assert "error: 373248000 perfect matchings exceed the bound" in proc.stderr
 
+    def test_importing_the_cli_leaves_multiprocessing_unloaded(self):
+        # only a run with threads > 1 needs the process pool
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, kdsm, kdsm.cli; print('multiprocessing' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
+
     def test_deterministic_report_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         for path in (a, b):

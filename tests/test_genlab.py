@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from itertools import islice
@@ -310,6 +311,23 @@ class TestExperiments:
         got = list(genlab._sampled_lanes("eriksson-bound", 3, k, n, 40))
         want = genlab._sampled_complete("eriksson-bound", 3, k, n, 40)
         assert got == [(oracle_lane(inst), digest) for inst, digest in want]
+
+    def test_n7_goes_through_the_capped_count(self, monkeypatch):
+        # at n = 7 a batch's walk costs more than one capped scan per
+        # instance; the report bytes are those of the batch kernel's run
+        def kernel(*args):
+            raise AssertionError("the batch kernel ran at n = 7")
+
+        monkeypatch.setattr(genlab, "_scan_batch", kernel)
+        rep = run_experiment("boros-bound", k=2, n=7, samples=6, seed=3)
+        assert hashlib.sha256(serialize_report(rep).encode()).hexdigest() == (
+            "d3a089f5c8c2ae4d0ece8e9474b77e10953e8f2e679f8642aaaa7f8568a8fa97"
+        )
+
+    def test_enumeration_takes_no_digest(self):
+        got = list(genlab._pooled_instances(2, 2, False, digested=False))
+        assert [inst for inst, _ in got] == list(oracle_enumerate_instances(2, 2, False))
+        assert {digest for _, digest in got} == {None}
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize(

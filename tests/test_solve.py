@@ -28,6 +28,7 @@ from kdsm import (
 )
 from kdsm import solve
 from kdsm.verify import first_blocker
+import oracle_solve
 from conftest import (
     as_matching,
     mutate_instance,
@@ -431,3 +432,60 @@ class TestFind:
         out = find_weakly_stable(inst)
         assert out.status is SolveStatus.FOUND
         assert out.matching == Matching.of([])
+
+
+def outcome_key(out):
+    return out.status, out.nodes_explored, out.matching
+
+
+class TestFindAgainstOracle:
+    """``find_weakly_stable`` reuses one anchor walk's verdict for the sibling
+    families that follow it; the solver before that reuse, kept verbatim in
+    ``oracle_solve``, must give the same status, node count and matching."""
+
+    @pytest.fixture(params=[2, 6, 8, 16, 256])
+    def cap(self, request, monkeypatch):
+        monkeypatch.setattr(solve, "PRUNE_WORK_CAP", request.param)
+        monkeypatch.setattr(oracle_solve, "PRUNE_WORK_CAP", request.param)
+        return request.param
+
+    def assert_same(self, inst, budget=None):
+        got = solve.find_weakly_stable(inst, budget)
+        assert outcome_key(got) == outcome_key(oracle_solve.find_weakly_stable(inst, budget))
+
+    def test_fixture_mutations(self, cap, no_stable_instance):
+        for seed in range(40):
+            self.assert_same(mutate_instance(no_stable_instance, seed))
+
+    def test_random_instances(self, cap):
+        max_n = {2: 9, 3: 7, 4: 5, 5: 4, 6: 4}
+        rng = random.Random(cap)
+        budget = Budget(max_nodes=3000)
+        for k, density in product(range(2, 7), (0.5, 0.7, 1.0)):
+            for _ in range(4):
+                self.assert_same(
+                    random_instance(rng.getrandbits(63), k, rng.randint(1, max_n[k]), density),
+                    budget,
+                )
+
+    @pytest.mark.parametrize("nodes", [1, 1023, 1024, 1025, 20_000])
+    def test_completed_fixture_at_budgets(self, nodes, no_stable_instance):
+        comp, _ = complete_instance(no_stable_instance)
+        self.assert_same(comp, Budget(max_nodes=nodes))
+
+    @pytest.mark.parametrize(
+        "args, cap, budget, nodes",
+        [
+            # storing a verdict whose walk read a prefix member gives 191
+            ((3434762721868830217, 4, 5, 0.5), 8, 2000, 192),
+            # reusing it for a last member the walk read gives 1,411
+            ((2461357306639081609, 3, 7, 1.0), 16, 3000, 1431),
+        ],
+    )
+    def test_pinned_reuse_boundaries(self, monkeypatch, args, cap, budget, nodes):
+        monkeypatch.setattr(solve, "PRUNE_WORK_CAP", cap)
+        monkeypatch.setattr(oracle_solve, "PRUNE_WORK_CAP", cap)
+        inst = random_instance(*args)
+        out = solve.find_weakly_stable(inst, Budget(max_nodes=budget))
+        assert (out.status, out.nodes_explored) == (SolveStatus.FOUND, nodes)
+        self.assert_same(inst, Budget(max_nodes=budget))
