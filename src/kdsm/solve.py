@@ -502,7 +502,8 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
     nodes = 0
 
     # the anchored-blocker walk's anchor index and work left; read[t] covers
-    # the type-t agents whose finalized flag the walk may test (t >= 1)
+    # the type-t agents whose finalized flag a walk from a type-0 anchor
+    # may test (t >= 1)
     anchor = 0
     work = 0
     read = [0] * k
@@ -524,7 +525,8 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
                     return True
             return False
         nt = t + 1 if t + 1 < k else 0
-        read[nt] |= better[t][i][p]
+        if t == step:  # a walk from a type-0 anchor: the one a memo may keep
+            read[nt] |= better[t][i][p]
         row = rows[nt]
         for j in prefs[t][i]:
             if j == p:
