@@ -70,6 +70,7 @@ from .core import (
     ArgumentError,
     DimensionError,
     Family,
+    FormatError,
     Instance,
     KdsmError,
     Matching,
@@ -95,6 +96,7 @@ from .reductions import (
     transport_matching,
 )
 from .solve import (
+    _acceptable,
     _check_family_bound,
     _matchings,
     _scan_batch,
@@ -104,9 +106,9 @@ from .solve import (
 from .verify import (
     find_blocking_cycle,
     find_blocking_naive,
-    first_blocker,
     is_strongly_blocking,
     is_weakly_stable,
+    lex_families,
 )
 
 # enumerate_instances refuses a space of more than this many instances
@@ -235,7 +237,7 @@ def random_matching(inst: Instance, seed: int, keep: float = 0.7) -> Matching:
     _check_int("seed", seed)
     if isinstance(keep, bool) or not isinstance(keep, Real) or not 0 <= keep <= 1:
         raise ArgumentError(f"keep must be a real number in [0, 1], got {keep!r}")
-    fams = _check_family_bound(inst)
+    fams = _check_family_bound(_acceptable(inst))
     rng = random.Random(seed)
     rng.shuffle(fams)
     used: list[set[int]] = [set() for _ in range(inst.k)]
@@ -395,7 +397,9 @@ def _hill_climb(n: int, seed_tag: str) -> tuple[Instance | None, int]:
     Restarts from fresh random 3-type instances and keeps mutating single
     preference lists while the (capped) stable count does not increase.
     Returns a no-stable instance if one is reached within
-    ``COUNTEREXAMPLE_EVALS_PER_N`` evaluations, plus the number spent.
+    ``COUNTEREXAMPLE_EVALS_PER_N`` evaluations, plus the number spent. A
+    trial keeps the current instance's ``_better`` rows but the new list's
+    (``core.trusted_instance``: the lists are the library's own draws).
     """
     evals, density = COUNTEREXAMPLE_EVALS_PER_N, HILL_CLIMB_DENSITY
     spent = 0
@@ -403,10 +407,9 @@ def _hill_climb(n: int, seed_tag: str) -> tuple[Instance | None, int]:
     while spent < evals:
         rng = random.Random(f"{seed_tag}:{restart}")
         restart += 1
-        prefs = [
-            [_random_list(rng, n, density) for _ in range(n)] for _ in range(3)
-        ]
-        inst = Instance.build(3, prefs)
+        inst = Instance.build(
+            3, [[_random_list(rng, n, density) for _ in range(n)] for _ in range(3)]
+        )
         best = count_weakly_stable(inst, limit=4)
         spent += 1
         if best == 0:
@@ -416,17 +419,20 @@ def _hill_climb(n: int, seed_tag: str) -> tuple[Instance | None, int]:
                 break
             t = rng.randrange(3)
             i = rng.randrange(n)
-            old = prefs[t][i]
-            prefs[t][i] = _random_list(rng, n, density)
-            trial = Instance.build(3, prefs)
+            lst = _random_list(rng, n, density)
+            prefs = list(inst.prefs)
+            prefs[t] = (*prefs[t][:i], lst, *prefs[t][i + 1 :])
+            better = inst._better.copy()
+            better[t] = [*better[t][:i], better_row(lst, n), *better[t][i + 1 :]]
+            complete = all(len(x) == n for row in prefs for x in row)
+            trial = trusted_instance(3, n, tuple(prefs), better, complete)
             val = count_weakly_stable(trial, limit=best + 1)
             spent += 1
             if val <= best:
                 best = val
+                inst = trial
                 if best == 0:
                     return trial, spent
-            else:
-                prefs[t][i] = old
     return None, spent
 
 
@@ -454,10 +460,11 @@ def certify_no_stable(inst: Instance) -> Certificate:
 
     Raises ArgumentError at the first weakly stable matching of ``inst``.
     """
-    fams = _check_family_bound(inst)
+    acc = _acceptable(inst)
+    fams = _check_family_bound(acc)
     total = 0
-    for _chosen, rows in _matchings(inst, False):
-        if first_blocker(inst, rows) is None:
+    for _chosen, imp in _matchings(inst, False, acc):
+        if next(lex_families(imp), None) is None:
             raise ArgumentError("instance has weakly stable matchings; nothing to certify")
         total += 1
     return Certificate(
@@ -524,6 +531,49 @@ def serialize_report(rep: ExperimentReport) -> str:
     for f in rep.failures:
         lines.append(f"failure {f}")
     return "\n".join(lines) + "\n"
+
+
+# the line kinds after the experiment line, in the order serialize_report writes them
+_REPORT_KINDS = ("param", "result", "summary", "failure")
+
+
+def parse_report(text: str) -> ExperimentReport:
+    """The report ``serialize_report`` wrote as ``text``; its inverse.
+
+    Raises FormatError for any other text: no final newline, a missing
+    header or experiment line, a line of another kind or out of the written
+    order, a param or summary line without a key, or a result line without
+    a digest and an ``ok`` or ``fail`` verdict.
+    """
+    if not text.endswith("\n"):
+        raise FormatError("a report ends with a newline")
+    header, *lines = text[:-1].split("\n")
+    if header != REPORT_HEADER:
+        raise FormatError(f"expected header {REPORT_HEADER!r}, got {header!r}")
+    kind, _, name = lines[0].partition(" ") if lines else ("", "", "")
+    if kind != "experiment" or not name:
+        raise FormatError("expected an 'experiment <id>' line after the header")
+    sections: dict[str, list] = {kind: [] for kind in _REPORT_KINDS}
+    at = 0  # the index in _REPORT_KINDS of the last kind read
+    for line in lines[1:]:
+        kind, sep, rest = line.partition(" ")
+        if kind not in sections or not sep or _REPORT_KINDS.index(kind) < at:
+            raise FormatError(f"malformed or misplaced report line: {line!r}")
+        at = _REPORT_KINDS.index(kind)
+        if kind == "failure":
+            sections[kind].append(rest)
+            continue
+        if kind == "result":  # digest, verdict and a detail written only when set
+            fields = rest.split(" ", 2)
+            valid = len(fields) > 1 and fields[1] in ("ok", "fail") and fields[2:] != [""]
+            fields += [""] * (3 - len(fields))
+        else:  # key and value
+            fields = rest.split(" ", 1)
+            valid = len(fields) == 2
+        if not (valid and fields[0]):
+            raise FormatError(f"malformed {kind} line: {line!r}")
+        sections[kind].append(tuple(fields))
+    return ExperimentReport(name, *(tuple(sections[kind]) for kind in _REPORT_KINDS))
 
 
 def _map_maybe_parallel(

@@ -18,10 +18,10 @@ of types 1..k-2 are walked on a stack, so k is not limited by Python's
 recursion limit. A full count with k >= 3 and n <= ``PERM_CACHE_MAX_N``
 decides all n! permutations of the last type at once: bit j of one int
 stands for the j-th, and per prefix one OR of precomputed rows gives the
-blocked ones. Enumeration and ``count_matchings`` walk the matching space
-with one subset walk (``_matchings``), which gives the canonical order
-and, restricted to perfect matchings, serves as the scan's oracle in the
-tests.
+blocked ones. Enumeration, ``count_matchings``, the count on every other
+instance and ``genlab.certify_no_stable`` walk the matching space with one
+subset walk (``_matchings``), which gives the canonical order and,
+restricted to perfect matchings, serves as the scan's oracle in the tests.
 
 Whether complete instances admit a weakly stable matching at all is
 decided a batch at a time by ``_scan_batch``, the existence experiments'
@@ -44,12 +44,16 @@ a later family of the level that differs from it only in its last member,
 outside that set, is blocked by the same walk at the same work, so it is
 counted as a node without being committed or walked.
 
-The subset walk and the budgeted solver hold their current matching in
-the partner-row form of :mod:`kdsm.verify` (``rows[t][i]`` is the partner
-index of agent (t, i), -1 when unmatched), keep a free mask per type, the
-bitmask of its unmatched agents, updated on every commit and undo, read
-the same bitmask table and test complete candidates with the naive
-verifier's first-blocker scan. Every family comes from
+The subset walk and the budgeted solver keep per agent its improvement
+mask, ``imp[t][i]``: its ``_better`` entry at its partner, its acceptable
+mask while unmatched. They keep per type a free mask, the bitmask of its
+unmatched agents. A commit or an undo updates both for the family's k
+members only, so a complete candidate is tested with
+``next(lex_families(imp), None)``, the naive verifier's first blocker
+(``verify.first_blocker``), without rebuilding a mask. The solver also
+holds its matching in the partner-row form of :mod:`kdsm.verify`
+(``rows[t][i]`` is the partner index of agent (t, i), -1 when unmatched)
+for its anchored walk and its backjumps. Every family comes from
 ``verify.lex_families``; the open families of a step are those over the
 acceptable masks restricted to the free masks and its type-0 starts.
 """
@@ -75,12 +79,7 @@ from .core import (
     check_space,
     shared_permutations,
 )
-from .verify import (
-    find_blocking_naive,
-    first_blocker,
-    improvement_masks,
-    lex_families,
-)
+from .verify import find_blocking_naive, improvement_masks, lex_families
 
 MAX_CANDIDATE_FAMILIES = 10**6
 MAX_PERFECT_MATCHINGS = 10**8
@@ -117,10 +116,16 @@ class SolveOutcome:
     elapsed: float
 
 
-def _check_family_bound(inst: Instance) -> list[tuple[int, ...]]:
-    """All valid families in lexicographic order, or SpaceTooLargeError."""
+def _acceptable(inst: Instance) -> list[list[int]]:
+    """Per agent, the mask of the entries it lists: its improvement mask
+    while unmatched."""
+    return improvement_masks(inst, [[-1] * inst.n] * inst.k)
+
+
+def _check_family_bound(acc: list[list[int]]) -> list[tuple[int, ...]]:
+    """All valid families over the acceptable masks ``acc`` in lexicographic
+    order, or SpaceTooLargeError."""
     bound = MAX_CANDIDATE_FAMILIES
-    acc = improvement_masks(inst, [[-1] * inst.n] * inst.k)  # acceptable masks
     fams = list(islice(lex_families(acc), bound + 1))
     # the walk stops at bound + 1, so that count is a lower bound
     check_space("or more candidate families", len(fams), bound)
@@ -361,20 +366,24 @@ def _scan_batch(k: int, n: int, lanes: Sequence[Sequence[int]]) -> int:
 
 
 def _matchings(
-    inst: Instance, perfect: bool
+    inst: Instance, perfect: bool, acc: list[list[int]]
 ) -> Iterator[tuple[list[tuple[int, ...]], list[list[int]]]]:
-    """Every matching (only the perfect ones with ``perfect``) with its partner
-    rows, in canonical order: ascending tuples of families, a matching before
-    its extensions. The next family starts at any type-0 agent after the last
-    family's, or with ``perfect`` at exactly the next one. The yielded list
-    and rows are reused; read them before resuming. Without ``perfect``, the
-    walk raises SpaceTooLargeError before its (MAX_CANDIDATE_FAMILIES + 1)-th
-    matching: every family is a one-family matching, so this bound is never
-    tighter than the family bound.
+    """Every matching (only the perfect ones with ``perfect``) with its
+    improvement masks, in canonical order: ascending tuples of families, a
+    matching before its extensions. ``acc`` holds the acceptable masks
+    (``_acceptable``). The next family starts at any type-0 agent after the
+    last family's, or with ``perfect`` at exactly the next one. The masks
+    follow the matching: a commit sets each member's to its ``_better`` entry
+    at its successor, an undo restores its acceptable mask, so
+    ``next(lex_families(imp), None)`` is ``first_blocker`` of the matching.
+    The yielded list and masks are reused; read them before resuming.
+    Without ``perfect``, the walk raises SpaceTooLargeError before its
+    (MAX_CANDIDATE_FAMILIES + 1)-th matching: every family is a one-family
+    matching, so this bound is never tighter than the family bound.
     """
     k, n = inst.k, inst.n
-    acc = improvement_masks(inst, [[-1] * n] * k)  # acceptable masks
-    rows = [[-1] * n for _ in range(k)]
+    better = inst._better
+    imp = [row.copy() for row in acc]
     free = [(1 << n) - 1] * k  # per type, the bitmask of unmatched agents
     chosen: list[tuple[int, ...]] = []
     walks: list[Iterator[tuple[int, ...]]] = []  # one per chosen family, plus the next
@@ -384,9 +393,9 @@ def _matchings(
         if not perfect:
             walked += 1
             check_space("or more matchings", walked, MAX_CANDIDATE_FAMILIES)
-            yield chosen, rows
+            yield chosen, imp
         elif len(chosen) == n:
-            yield chosen, rows
+            yield chosen, imp
         starts = range(start, n)
         walks.append(lex_families(acc, free, starts[:1] if perfect else starts))
         # the next family of the deepest walk with one left; every family
@@ -396,11 +405,11 @@ def _matchings(
             if not walks:
                 return
             for t, i in enumerate(chosen.pop()):
-                rows[t][i] = -1
+                imp[t][i] = acc[t][i]
                 free[t] ^= 1 << i
         chosen.append(fam)
         for t, i in enumerate(fam):
-            rows[t][i] = fam[(t + 1) % k]
+            imp[t][i] = better[t][i][fam[(t + 1) % k]]
             free[t] ^= 1 << i
         start = fam[0] + 1
 
@@ -411,6 +420,25 @@ def _check_limit(limit: int | None) -> None:
         raise ArgumentError(f"limit must be an integer or None, got {limit!r}")
 
 
+def _stable(inst: Instance, limit: int | None) -> Iterator[list[tuple[int, ...]]]:
+    """The families of the first ``limit`` (None: all) weakly stable
+    matchings, in canonical order: the matchings of ``_matchings`` whose
+    masks close no family. The bounds are checked first: the
+    perfect-matching bounds on a complete instance with n >= 1, which walks
+    its perfect matchings, the family bound otherwise."""
+    perfect = inst.is_complete and inst.n >= 1
+    if perfect:
+        _check_perfect_bound(inst.k, inst.n)
+    acc = _acceptable(inst)
+    if not perfect:
+        _check_family_bound(acc)
+    stable = (
+        chosen for chosen, imp in _matchings(inst, perfect, acc)
+        if next(lex_families(imp), None) is None
+    )
+    return islice(stable, None if limit is None else max(limit, 0))
+
+
 def enumerate_weakly_stable(inst: Instance, limit: int | None = None) -> list[Matching]:
     """All weakly stable matchings of ``inst`` (up to ``limit``), canonical order.
 
@@ -419,25 +447,14 @@ def enumerate_weakly_stable(inst: Instance, limit: int | None = None) -> list[Ma
     instances, the perfect-matching space) exceeds its bound.
     """
     _check_limit(limit)
-    perfect = inst.is_complete and inst.n >= 1
-    if perfect:
-        _check_perfect_bound(inst.k, inst.n)
-    else:
-        _check_family_bound(inst)
-    stable = (
-        Matching.of(chosen)
-        for chosen, rows in _matchings(inst, perfect)
-        if first_blocker(inst, rows) is None
-    )
-    if limit is not None:
-        stable = islice(stable, max(limit, 0))
-    return list(stable)
+    return [Matching.of(chosen) for chosen in _stable(inst, limit)]
 
 
 def count_matchings(inst: Instance) -> int:
     """Total number of matchings (all agent-disjoint family subsets)."""
-    _check_family_bound(inst)
-    return sum(1 for _ in _matchings(inst, False))
+    acc = _acceptable(inst)
+    _check_family_bound(acc)
+    return sum(1 for _ in _matchings(inst, False, acc))
 
 
 def count_weakly_stable(inst: Instance, limit: int | None = None) -> int:
@@ -450,8 +467,9 @@ def count_weakly_stable(inst: Instance, limit: int | None = None) -> int:
     perfect-matching bounds first and raises SpaceTooLargeError past them;
     a capped count checks them too, except at k=3, where the scan stops at
     its ``limit``-th hit and is not refused for size. Every other instance
-    goes through ``enumerate_weakly_stable``, which checks its bounds
-    either way.
+    is counted off the matching walk of ``enumerate_weakly_stable``, under
+    the same bounds, without building a matching: it stops at the
+    ``limit``-th stable one.
     """
     _check_limit(limit)
     if limit is not None and limit <= 0:
@@ -460,7 +478,7 @@ def count_weakly_stable(inst: Instance, limit: int | None = None) -> int:
         if limit is None or inst.k != 3:
             _check_perfect_bound(inst.k, inst.n)
         return _scan_complete(inst, limit)
-    return len(enumerate_weakly_stable(inst, limit))
+    return sum(1 for _ in _stable(inst, limit))
 
 
 def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOutcome:
@@ -493,9 +511,10 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
             SolveStatus.BUDGET_EXCEEDED, None, 0, time.perf_counter() - t_start
         )
 
-    acc = improvement_masks(inst, [[-1] * n] * k)  # acceptable masks
+    acc = _acceptable(inst)
     better = inst._better
     rows = [[-1] * n for _ in range(k)]  # partner index or -1
+    imp = [row.copy() for row in acc]  # improvement masks, as in _matchings
     free = [(1 << n) - 1] * k  # per type, the bitmask of unmatched agents
     decided = 0  # type-0 agents with a final decision
     chosen: list[tuple[int, ...] | None] = [None] * n
@@ -558,6 +577,7 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
             for t in range(k):
                 i = fam[t]
                 rows[t][i] = -1
+                imp[t][i] = acc[t][i]
                 free[t] ^= 1 << i
         if d > back:
             levels.pop()
@@ -578,7 +598,8 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
                 continue  # a blocked sibling: no commit, walk or undo
             for t in range(k):
                 i = fam[t]
-                rows[t][i] = fam[t + 1 if t + 1 < k else 0]
+                p = rows[t][i] = fam[t + 1 if t + 1 < k else 0]
+                imp[t][i] = better[t][i][p]
                 free[t] ^= 1 << i
             chosen[d] = fam
         # a blocking family through an agent of this decision (its family, or
@@ -601,7 +622,7 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
                 memos[decided] = None
                 levels.append(chain(lex_families(acc, free, (decided,)), (None,)))
                 continue
-            blk = first_blocker(inst, rows)
+            blk = next(lex_families(imp), None)  # first_blocker of rows
             if blk is None:
                 status = SolveStatus.FOUND
                 break

@@ -18,9 +18,11 @@ from :func:`kdsm.core.partner_rows`, the one check that a matching fits its
 instance, so both raise InvalidFamilyError on the same input. Both must
 agree on the verdict; witnesses may differ. ``auto`` is the cycle method;
 the naive scan stays as the solvers' leaf test and the oracle of
-``verifier-equivalence``. The same partner rows, table and family walker
-``lex_families`` serve the matching walk and the budgeted search of
-:mod:`kdsm.solve`.
+``verifier-equivalence``. The same table and family walker serve the
+matching walk and the budgeted search of :mod:`kdsm.solve`, which keep
+each agent's improvement mask in step with their matching: their leaf test
+is ``first_blocker``'s own ``next(lex_families(masks), None)``, over masks
+that no leaf rebuilds.
 """
 
 from __future__ import annotations

@@ -73,7 +73,8 @@ def oracle_all_matchings(inst: Instance) -> list[tuple[tuple[int, ...], ...]]:
     """
     fams = oracle_families(inst)
     out = []
-    for size in range(len(fams) + 1):
+    # disjoint families hold distinct type-0 agents, so at most n of them
+    for size in range(min(len(fams), inst.n) + 1):
         for combo in itertools.combinations(fams, size):
             disjoint = all(
                 a[t] != b[t]

@@ -8,6 +8,7 @@ import pytest
 from kdsm import (
     ArgumentError,
     DimensionError,
+    FormatError,
     Instance,
     KdsmError,
     Matching,
@@ -17,6 +18,7 @@ from kdsm import (
     enumerate_instances,
     enumerate_weakly_stable,
     instance_digest,
+    parse_report,
     random_instance,
     random_matching,
     run_experiment,
@@ -27,7 +29,7 @@ from kdsm import (
 )
 from kdsm import genlab
 from kdsm.core import shared_permutations
-from kdsm.genlab import UnknownExperimentError, list_options
+from kdsm.genlab import ExperimentReport, UnknownExperimentError, list_options
 from conftest import (
     oracle_derived_seed,
     oracle_enumerate_instances,
@@ -223,6 +225,16 @@ class TestSearchCounterexample:
         with pytest.raises(ArgumentError):
             certify_no_stable(tiny_complete)
 
+    def test_hill_climb_path_is_pinned(self):
+        # the evaluations and the instance the descent reaches, recorded
+        # while every trial was built through the public constructor
+        assert genlab._hill_climb(3, "0:cx:3") == (None, 60_000)
+        inst, spent = genlab._hill_climb(4, "0:cx:4")
+        assert spent == 4_551
+        assert instance_digest(inst).startswith("5bb57de23757a4e6")
+        public = Instance(3, 4, inst.prefs)
+        assert inst == public and tables(inst) == tables(public)
+
 
 class TestExperiments:
     def test_unknown_id(self):
@@ -385,6 +397,50 @@ class TestExperiments:
         assert lines[1] == "experiment boros-bound"
         assert sum(1 for l in lines if l.startswith("result ")) == 64
         assert any(l == "summary failures 0" for l in lines)
+
+    # every experiment at a small size, so the round trip sees each report shape
+    SMALL_RUNS = {
+        "boros-bound": dict(n=2),
+        "eriksson-bound": dict(samples=5),
+        "pp-two-matchings": dict(samples=3),
+        "verifier-equivalence": dict(samples=5),
+        "lift-3k-equivalence": dict(n=1),
+        "complete-positive": dict(samples=3),
+        "complete-negative": dict(samples=3),
+    }
+
+    @pytest.mark.parametrize("experiment", genlab.EXPERIMENT_IDS)
+    def test_parse_report_round_trips(self, experiment):
+        rep = run_experiment(experiment, seed=2, **self.SMALL_RUNS[experiment])
+        text = serialize_report(rep)
+        assert parse_report(text) == rep
+        # a report with failures, details with spaces and an empty detail
+        failed = ExperimentReport(
+            experiment, rep.params, ((rep.results[0][0], "fail", "a b  c"), ("d", "ok", "")),
+            rep.summary, ("d a problem", ""),
+        )
+        assert parse_report(serialize_report(failed)) == failed
+
+    @pytest.mark.parametrize("text, match", [
+        ("", "newline"),
+        ("KDSM-REPORT 1", "newline"),
+        ("KDSM-REPORT 2\nexperiment x\n", "header"),
+        ("KDSM-REPORT 1\n", "experiment"),
+        ("KDSM-REPORT 1\nexperiment\n", "experiment"),
+        ("KDSM-REPORT 1\nexperiment x\n\n", "misplaced"),
+        ("KDSM-REPORT 1\nexperiment x\nresult d ok\nparam k 3\n", "misplaced"),
+        ("KDSM-REPORT 1\nexperiment x\nfailure f\nsummary total 1\n", "misplaced"),
+        ("KDSM-REPORT 1\nexperiment x\nnote y z\n", "misplaced"),
+        ("KDSM-REPORT 1\nexperiment x\nparam k\n", "malformed param"),
+        ("KDSM-REPORT 1\nexperiment x\nsummary  1\n", "malformed summary"),
+        ("KDSM-REPORT 1\nexperiment x\nresult d\n", "malformed result"),
+        ("KDSM-REPORT 1\nexperiment x\nresult d maybe\n", "malformed result"),
+        ("KDSM-REPORT 1\nexperiment x\nresult d ok \n", "malformed result"),
+        ("KDSM-REPORT 1\nexperiment x\nresult  ok\n", "malformed result"),
+    ])
+    def test_parse_report_rejects_malformed_text(self, text, match):
+        with pytest.raises(FormatError, match=match):
+            parse_report(text)
 
     def test_eriksson_sampled(self):
         rep = run_experiment("eriksson-bound", samples=60, seed=3)

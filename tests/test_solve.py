@@ -27,12 +27,15 @@ from kdsm import (
     random_instance,
 )
 from kdsm import solve
-from kdsm.verify import first_blocker
+from kdsm.genlab import certify_no_stable
+from kdsm.verify import first_blocker, improvement_masks, partner_rows
 import oracle_solve
 from conftest import (
     as_matching,
     mutate_instance,
     oracle_all_matchings,
+    oracle_families,
+    oracle_is_stable,
     oracle_lane,
     oracle_stable_matchings,
 )
@@ -53,17 +56,46 @@ class TestEnumerate:
         got = enumerate_weakly_stable(rank0_first_instance)
         assert {tuple(f.members for f in m) for m in got} == want
 
-    def test_matches_oracle_on_random_incomplete(self):
-        # the complete inputs pin the perfect-matching walk to the oracle; the
-        # canonical order is the sorted one
+    def test_matches_oracle_on_random_incomplete(self, no_stable_instance):
+        # k = 2..5 at densities 0.3-0.7: the enumeration in canonical order
+        # (the sorted one), every count, the matching count and the
+        # certificate against the oracle; the complete inputs pin the
+        # perfect-matching walk to it, and the fixture has no stable matching
         rng = random.Random(3)
-        cases = [(3, rng.randint(0, 3), rng.choice((0.3, 0.6))) for _ in range(25)]
+        sizes = [(2, 5), (3, 3), (4, 3), (5, 2), (5, 3)]
+        cases = [(k, rng.randint(0, n), rng.uniform(0.3, 0.7)) for k, n in sizes for _ in range(20)]
         cases += [(2, n, 1.0) for n in (1, 2, 3, 3)] + [(3, 2, 1.0)] * 3 + [(4, 2, 1.0)] * 2
-        for k, n, density in cases:
-            inst = random_instance(rng.getrandbits(32), k, n, density)
-            want = sorted(tuple(sorted(m)) for m in oracle_stable_matchings(inst))
+        insts = [random_instance(rng.getrandbits(32), *case) for case in cases]
+        for inst in [*insts, no_stable_instance]:
+            every = oracle_all_matchings(inst)
+            want = sorted(tuple(sorted(m)) for m in every if oracle_is_stable(inst, m))
             got = [tuple(f.members for f in m) for m in enumerate_weakly_stable(inst)]
-            assert got == want, (k, n, density)
+            assert got == want, inst
+            for limit in (None, 1, 2, 3):
+                assert count_weakly_stable(inst, limit) == len(want[:limit]), (inst, limit)
+            assert count_matchings(inst) == len(every), inst
+            if want:
+                with pytest.raises(ArgumentError):
+                    certify_no_stable(inst)
+            else:
+                cert = certify_no_stable(inst)
+                assert (cert.families, cert.matchings) == (len(oracle_families(inst)), len(every))
+        assert sum(1 for inst in insts if not inst.is_complete) >= 70
+
+    def test_walk_keeps_the_improvement_masks_of_its_matching(self, no_stable_instance):
+        # the masks a commit sets and an undo restores are those of the
+        # yielded matching's partner rows, and the acceptable masks stay
+        rng = random.Random(21)
+        insts = [random_instance(rng.getrandbits(32), k, rng.randint(1, 3), rng.uniform(0.3, 0.7))
+                 for k in range(2, 6) for _ in range(5)]
+        insts += [random_instance(4, 3, 3, 1.0), no_stable_instance]
+        for inst in insts:
+            acc = solve._acceptable(inst)
+            for perfect in (False, True):
+                for chosen, imp in solve._matchings(inst, perfect, acc):
+                    rows = partner_rows(inst, Matching.of(chosen))
+                    assert imp == improvement_masks(inst, rows), (inst, chosen)
+            assert acc == improvement_masks(inst, [[-1] * inst.n] * inst.k)
 
     def test_limit_zero_is_empty(self, rank0_first_instance, no_stable_instance):
         assert enumerate_weakly_stable(rank0_first_instance, limit=0) == []
