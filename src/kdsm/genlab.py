@@ -20,10 +20,10 @@ makes the draws of the stdlib's ``_randbelow``, so a change to the stdlib's
 permutation of ``core.shared_permutations`` that the shuffle's draws select,
 drawn as its index there.
 
-The lists the library draws itself, those of ``_draw_picks`` and of the
-exhaustive walk, skip the public checks: ``core.trusted_instance`` builds
-the frozen instance with its tables, and it is the one constructor that
-does. ``enumerate_instances`` walks a pool of rows, ``product(list_options(n,
+The lists the library draws itself, those of ``_draw_picks``, of the
+exhaustive walk and of the hill climb's trials, skip the public checks:
+``core.trusted_instance`` builds the frozen instance with its tables, and
+it is the one constructor that does. ``enumerate_instances`` walks a pool of rows, ``product(list_options(n,
 complete), repeat=n)`` built once per call, each row with its ``_better``
 rows, its completeness, its ``pref`` lines per type and its lists' option
 indices; every instance gets its tables by reference. The existence runs
@@ -398,8 +398,9 @@ def _hill_climb(n: int, seed_tag: str) -> tuple[Instance | None, int]:
     preference lists while the (capped) stable count does not increase.
     Returns a no-stable instance if one is reached within
     ``COUNTEREXAMPLE_EVALS_PER_N`` evaluations, plus the number spent. A
-    trial keeps the current instance's ``_better`` rows but the new list's
-    (``core.trusted_instance``: the lists are the library's own draws).
+    trial reuses the current instance's ``_better`` rows and builds only the
+    new list's; ``core.trusted_instance`` skips the public checks, since
+    the lists are the library's own draws.
     """
     evals, density = COUNTEREXAMPLE_EVALS_PER_N, HILL_CLIMB_DENSITY
     spent = 0
