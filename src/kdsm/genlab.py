@@ -23,19 +23,22 @@ drawn as its index there.
 The lists the library draws itself, those of ``_draw_picks``, of the
 exhaustive walk and of the hill climb's trials, skip the public checks:
 ``core.trusted_instance`` builds the frozen instance with its tables, and
-it is the one constructor that does. ``enumerate_instances`` walks a pool of rows, ``product(list_options(n,
-complete), repeat=n)`` built once per call, each row with its ``_better``
-rows, its completeness, its ``pref`` lines per type and its lists' option
-indices; every instance gets its tables by reference. The existence runs
-take each instance with its digest, built from a copy of a hash state
-(``core.digest_state``) and pieces cut from ``serialize_instance``'s own
-text, so ``instance_digest`` stays the one definition of the digest. The
-exhaustive walk copies the state after the header and the unchanged prefix
-rows and adds the last row. A sampled instance, n in [1,
-``PERM_CACHE_MAX_N``], updates a copy of the state after the header with
-each slot's ``pref t i : `` and the entry text of the permutation drawn
-there (``_sample_pieces``, O(k·n + n!) per call); past that n its digest is
-``instance_digest``.
+it is the one constructor that does. ``enumerate_instances`` walks a pool
+of rows, ``product(list_options(n, complete), repeat=n)`` built once per
+call, each row with its ``_better`` rows and its completeness; every
+instance gets its tables by reference. The existence runs take each
+instance with its digest, built from a copy of a hash state
+(``core.digest_state``) and the pieces ``_sample_pieces`` cuts from
+``serialize_instance``'s own text once per call (the header, each slot's
+``pref t i : `` and each shared permutation's entry text, O(k·n + n!)), so
+``instance_digest`` stays the one definition of the digest. A sampled
+instance, n in [1, ``PERM_CACHE_MAX_N``], updates a copy of the state
+after the header with each slot's prefix and the entry text of the
+permutation drawn there; past that n its digest is ``instance_digest``.
+The exhaustive lanes, n in [1, ``BATCH_MAX_N``], walk rows of permutation
+indices in product order (``_exhaustive_lanes``): each digest copies the
+state after the header and the unchanged prefix rows and adds the last
+row's text.
 
 Every experiment runs the same pipeline. Its runner yields one record per
 instance, ``(digest, detail, problem)``, with ``problem`` None when the
@@ -285,99 +288,28 @@ def enumerate_instances(k: int, n: int, complete: bool) -> Iterator[Instance]:
 
     Raises DimensionError, or SpaceTooLargeError past ``MAX_INSTANCES``, at
     the call, before any instance is built; a space far past the bound is
-    refused from its size, without computing its count.
+    refused from its size, without computing its count. No digest is taken.
     """
-    return (inst for inst, _ in _pooled_instances(k, n, complete, digested=False))
+    check_space("instances", _instance_space(k, n, complete), MAX_INSTANCES)
+    return _walk_instances(k, n, complete)
 
 
-def _serialized_lines(inst: Instance) -> list[bytes]:
-    """The lines of ``serialize_instance(inst)`` in UTF-8, each with its newline."""
-    return [line + b"\n" for line in serialize_instance(inst).encode("utf-8").split(b"\n")[:-1]]
-
-
-def _row_pool(k: int, n: int, complete: bool) -> tuple[bytes, list[tuple]]:
-    """The header of every k, n serialization, and every row of n admissible
-    lists in product order as (its lists, their better rows, whether every
-    list is complete, its pref lines in UTF-8 for each type, each list's
-    index in ``list_options(n, complete)``). A row's lines are cut from the
-    serialization of the instance whose every type has that row: three
-    header lines, then n lines per type."""
+def _walk_instances(k: int, n: int, complete: bool) -> Iterator[Instance]:
+    """The walk of :func:`enumerate_instances` over a pool of rows of n
+    lists, each with its better rows and whether it is complete: the rows
+    of types 0..k-2 run over the pool in product order, and under each such
+    prefix so does the last type's row."""
     options = [(lst, tuple(better_row(lst, n))) for lst in list_options(n, complete)]
     pool = []
-    for combo in product(enumerate(options), repeat=n):
-        row = tuple(lst for _, (lst, _) in combo)
-        lines = _serialized_lines(Instance(k, n, (row,) * k))
-        pool.append((
-            row,
-            tuple(masks for _, (_, masks) in combo),
-            all(len(lst) == n for lst in row),
-            tuple(b"".join(lines[3 + t * n : 3 + (t + 1) * n]) for t in range(k)),
-            tuple(j for j, _ in combo),
-        ))
-    return b"".join(lines[:3]), pool
-
-
-def _pooled_instances(
-    k: int, n: int, complete: bool, digested: bool = True
-) -> Iterator[tuple[Instance, str | None]]:
-    """:func:`enumerate_instances` with each instance's digest, None unless
-    ``digested``; raises as it does, at the call."""
-    check_space("instances", _instance_space(k, n, complete), MAX_INSTANCES)
-    return (
-        (trusted_instance(k, n, (*prefs, row), [*better, masks], full and row_full), digest)
-        for (prefs, better, full, _), (row, masks, row_full, _, _), digest
-        in _walk_pool(k, n, complete, digested)
-    )
-
-
-def _pooled_lanes(k: int, n: int) -> Iterator[tuple[tuple[int, ...], str]]:
-    """:func:`_pooled_instances` of complete lists, n >= 1, each instance as
-    its lane, the ``shared_permutations(n)`` index of each slot's list."""
-    check_space("instances", _instance_space(k, n, True), MAX_INSTANCES)
-    return (
-        (head + entry[4], digest)
-        for (_, _, _, head), entry, digest in _walk_pool(k, n, True)
-    )
-
-
-def _walk_pool(
-    k: int, n: int, complete: bool, digested: bool = True
-) -> Iterator[tuple[tuple, tuple, str | None]]:
-    """One walk over ``_row_pool``: the rows of types 0..k-2 run over the
-    pool in product order, and under each such prefix so does the last
-    type's row. Yields per instance its prefix (lists, better rows, whether
-    complete, option indices; one tuple per prefix), its last pool row and
-    its digest, None unless ``digested``. ``hashes[t]`` is the digest state
-    after the header and the rows of types below t, rebuilt from the first
-    type whose row changed; each digest updates a copy of ``hashes[k - 1]``
-    with the last row alone."""
-    head, pool = _row_pool(k, n, complete)
-    last = k - 1
-    hashes = [digest_state(head)] + [None] * last
-    before = (None,) * last
-    for prefix in product(pool, repeat=last):
-        # the first type whose row changed; product changes the last ones first
-        changed = next(t for t in range(last) if prefix[t] is not before[t])
-        before = prefix
-        for t in range(changed, last):
-            state = hashes[t].copy()
-            state.update(prefix[t][3][t])
-            hashes[t + 1] = state
-        base = hashes[last]
-        shared = (
-            tuple(entry[0] for entry in prefix),
-            [entry[1] for entry in prefix],
-            all(entry[2] for entry in prefix),
-            sum((entry[4] for entry in prefix), ()),
-        )
-        if not digested:
-            for entry in pool:
-                yield shared, entry, None
-            continue
-        for entry in pool:
-            state = base.copy()
-            state.update(entry[3][last])
-            yield shared, entry, state.hexdigest()
+    for combo in product(options, repeat=n):
+        row = tuple(lst for lst, _ in combo)
+        pool.append((row, tuple(masks for _, masks in combo), all(len(lst) == n for lst in row)))
+    for prefix in product(pool, repeat=k - 1):
+        prefs = tuple(row for row, _, _ in prefix)
+        better = [masks for _, masks, _ in prefix]
+        full = all(row_full for _, _, row_full in prefix)
+        for row, masks, row_full in pool:
+            yield trusted_instance(k, n, (*prefs, row), [*better, masks], full and row_full)
 
 
 @dataclass(frozen=True)
@@ -591,11 +523,11 @@ def _map_maybe_parallel(
         yield from pool.imap(worker, items, chunksize=chunksize)
 
 
-def _count_digested(item: tuple[Instance, str], limit: int | None) -> tuple[str, int]:
+def _count_digested(item: tuple[Instance, str]) -> tuple[str, int]:
     """The digest of an instance that comes with it, and the instance's
-    number of weakly stable matchings, capped at ``limit``."""
+    number of weakly stable matchings."""
     inst, digest = item
-    return digest, count_weakly_stable(inst, limit=limit)
+    return digest, count_weakly_stable(inst)
 
 
 # one record per instance: (digest, detail, problem or None when it passed)
@@ -660,13 +592,46 @@ def _sample_pieces(k: int, n: int) -> tuple[bytes, list[bytes], list[bytes]]:
     for start in range(0, len(perms), slots):
         chunk = perms[start : start + slots]
         chunk += chunk[-1:] * (slots - len(chunk))
-        lines = _serialized_lines(
-            Instance(k, n, tuple(tuple(chunk[t * n : (t + 1) * n]) for t in range(k)))
-        )
+        inst = Instance(k, n, tuple(tuple(chunk[t * n : (t + 1) * n]) for t in range(k)))
+        lines = serialize_instance(inst).encode("utf-8").splitlines(keepends=True)
         cut = [line.partition(b" : ") for line in lines[3:]]
         texts += [text for _slot, _sep, text in cut]
     head = b"".join(lines[:3])
     return head, [slot + sep for slot, sep, _text in cut], texts[: len(perms)]
+
+
+def _exhaustive_lanes(k: int, n: int) -> Iterator[tuple[tuple[int, ...], str]]:
+    """The complete k, n instances, n in [1, PERM_CACHE_MAX_N], in the order
+    of :func:`enumerate_instances`, each as its lane (the
+    ``shared_permutations(n)`` index of each slot's list) with its digest.
+    A row is n such indices in product order; its text for type t joins
+    each slot's prefix of ``_sample_pieces`` and its list's entry text.
+    ``hashes[t]`` is the digest state after the header and the rows of
+    types below t, rebuilt from the first type whose row changed; each
+    digest updates a copy of ``hashes[k - 1]`` with the last row alone."""
+    head, prefixes, texts = _sample_pieces(k, n)
+    pool = [
+        (row, [b"".join([prefixes[t * n + i] + texts[j] for i, j in enumerate(row)])
+               for t in range(k)])
+        for row in product(range(factorial(n)), repeat=n)
+    ]
+    last = k - 1
+    hashes = [digest_state(head)] + [None] * last
+    before = (None,) * last
+    for prefix in product(pool, repeat=last):
+        # the first type whose row changed; product changes the last ones first
+        changed = next(t for t in range(last) if prefix[t] is not before[t])
+        before = prefix
+        for t in range(changed, last):
+            state = hashes[t].copy()
+            state.update(prefix[t][1][t])
+            hashes[t + 1] = state
+        base = hashes[last]
+        lane = sum((row for row, _ in prefix), ())
+        for row, text in pool:
+            state = base.copy()
+            state.update(text[last])
+            yield lane + row, state.hexdigest()
 
 
 def _sampled_lanes(
@@ -728,7 +693,11 @@ def _existence(
     lanes = 1 <= n <= BATCH_MAX_N
     if exhaustive:
         mode = "exhaustive"
-        items = _pooled_lanes(k, n) if lanes else _pooled_instances(k, n, complete=True)
+        check_space("instances", _instance_space(k, n, True), MAX_INSTANCES)
+        # only n = 0 runs as instances here: the check refuses n >= 7
+        items = _exhaustive_lanes(k, n) if lanes else (
+            (inst, instance_digest(inst)) for inst in enumerate_instances(k, n, True)
+        )
     else:
         if samples is None:
             samples = 100_000
@@ -772,7 +741,7 @@ def _pp(name: str, samples: int, seed: int, threads: int) -> ExperimentReport:
 
     def records() -> Iterator[Record]:
         for digest, count in _map_maybe_parallel(
-            partial(_count_digested, limit=None), instances, threads, chunksize
+            _count_digested, instances, threads, chunksize
         ):
             seen.append(count)
             problem = f"has only {count} weakly stable matchings" if count < 2 else None

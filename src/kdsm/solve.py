@@ -78,6 +78,7 @@ from .core import (
     better_row,
     check_space,
     shared_permutations,
+    space_within,
 )
 from .verify import find_blocking_naive, improvement_masks, lex_families
 
@@ -392,7 +393,8 @@ def _matchings(
     while True:
         if not perfect:
             walked += 1
-            check_space("or more matchings", walked, MAX_CANDIDATE_FAMILIES)
+            if walked > MAX_CANDIDATE_FAMILIES:  # check_space only raises here
+                check_space("or more matchings", walked, MAX_CANDIDATE_FAMILIES)
             yield chosen, imp
         elif len(chosen) == n:
             yield chosen, imp
@@ -425,12 +427,13 @@ def _stable(inst: Instance, limit: int | None) -> Iterator[list[tuple[int, ...]]
     matchings, in canonical order: the matchings of ``_matchings`` whose
     masks close no family. The bounds are checked first: the
     perfect-matching bounds on a complete instance with n >= 1, which walks
-    its perfect matchings, the family bound otherwise."""
+    its perfect matchings, the family bound otherwise, once n^k passes it."""
     perfect = inst.is_complete and inst.n >= 1
     if perfect:
         _check_perfect_bound(inst.k, inst.n)
     acc = _acceptable(inst)
-    if not perfect:
+    # a family is one of n^k tuples: while n^k fits, the family bound cannot bind
+    if not perfect and not space_within((inst.n, inst.k), MAX_CANDIDATE_FAMILIES):
         _check_family_bound(acc)
     stable = (
         chosen for chosen, imp in _matchings(inst, perfect, acc)
@@ -453,7 +456,8 @@ def enumerate_weakly_stable(inst: Instance, limit: int | None = None) -> list[Ma
 def count_matchings(inst: Instance) -> int:
     """Total number of matchings (all agent-disjoint family subsets)."""
     acc = _acceptable(inst)
-    _check_family_bound(acc)
+    if not space_within((inst.n, inst.k), MAX_CANDIDATE_FAMILIES):  # as in _stable
+        _check_family_bound(acc)
     return sum(1 for _ in _matchings(inst, False, acc))
 
 

@@ -159,21 +159,20 @@ class TestEnumerateInstances:
     SHAPES += [(k, 2, True) for k in (4, 5, 6)]
 
     @staticmethod
-    def check_against_fresh_builds(pooled, plain, fresh):
+    def check_against_fresh_builds(plain, fresh):
         count = 0
-        for (inst, digest), same, want in zip(pooled, plain, fresh, strict=True):
+        for inst, want in zip(plain, fresh, strict=True):
             # the tables come filled, and no digest is cached on the instance
             assert set(vars(inst)) == {"k", "n", "prefs", "_better", "is_complete"}
-            assert inst.prefs == same.prefs == want.prefs
-            assert tables(inst) == tables(same) == tables(want)
-            assert digest == instance_digest(want) == instance_digest(inst)
+            assert inst.prefs == want.prefs
+            assert tables(inst) == tables(want)
+            assert instance_digest(inst) == instance_digest(want)
             count += 1
         return count
 
     @pytest.mark.parametrize("k, n, complete", SHAPES)
     def test_pooled_walk_matches_fresh_builds(self, k, n, complete):
         count = self.check_against_fresh_builds(
-            genlab._pooled_instances(k, n, complete),
             enumerate_instances(k, n, complete),
             oracle_enumerate_instances(k, n, complete),
         )
@@ -183,7 +182,6 @@ class TestEnumerateInstances:
     def test_pooled_walk_matches_fresh_builds_on_a_k3n3_slice(self, start):
         window = lambda it: islice(it, start, start + 1000)
         count = self.check_against_fresh_builds(
-            window(genlab._pooled_instances(3, 3, True)),
             window(enumerate_instances(3, 3, True)),
             window(oracle_enumerate_instances(3, 3, True)),
         )
@@ -312,11 +310,46 @@ class TestExperiments:
             assert inst.is_complete
             assert digest == instance_digest(fresh) == instance_digest(want)
 
-    @pytest.mark.parametrize("k, n", [(3, 1), (3, 2), (6, 2)])
-    def test_pooled_lanes_are_the_pooled_instances(self, k, n):
-        want = genlab._pooled_instances(k, n, True)
-        got = [(list(lane), digest) for lane, digest in genlab._pooled_lanes(k, n)]
-        assert got == [(oracle_lane(inst), digest) for inst, digest in want]
+    @staticmethod
+    def oracle_lanes(instances):
+        return [(oracle_lane(inst), instance_digest(inst)) for inst in instances]
+
+    @pytest.mark.parametrize("k, n", [(3, 1), (3, 2), (4, 2), (6, 2)])
+    def test_exhaustive_lanes_match_the_oracle(self, k, n):
+        got = [(list(lane), digest) for lane, digest in genlab._exhaustive_lanes(k, n)]
+        assert got == self.oracle_lanes(oracle_enumerate_instances(k, n, True))
+        assert len(got) == count_instances(k, n, True)
+
+    def test_exhaustive_lanes_match_the_oracle_on_a_k3n3_slice(self):
+        # from 500 before the 46,656th instance, where every type's row steps
+        window = lambda it: islice(it, 46_656 - 500, 46_656 + 500)
+        got = [(list(lane), digest) for lane, digest in window(genlab._exhaustive_lanes(3, 3))]
+        assert got == self.oracle_lanes(window(oracle_enumerate_instances(3, 3, True)))
+
+    def test_exhaustive_lanes_copy_a_prefix_state_only_when_its_row_changes(self, monkeypatch):
+        # per type t < k - 1 one copy per distinct prefix of types 0..t, and
+        # one per instance: 4 + 16 + 64 + 256 at k=4, n=2 (4 rows)
+        copies = 0
+
+        class Counted:
+            def __init__(self, state):
+                self.state = state
+
+            def copy(self):
+                nonlocal copies
+                copies += 1
+                return Counted(self.state.copy())
+
+            def update(self, data):
+                self.state.update(data)
+
+            def hexdigest(self):
+                return self.state.hexdigest()
+
+        real = genlab.digest_state
+        monkeypatch.setattr(genlab, "digest_state", lambda head: Counted(real(head)))
+        assert sum(1 for _ in genlab._exhaustive_lanes(4, 2)) == 256
+        assert copies == 4 + 16 + 64 + 256
 
     @pytest.mark.parametrize("k, n", [(3, 1), (3, 3), (3, 4), (4, 3), (2, 7)])
     def test_sampled_lanes_are_the_sampled_instances(self, k, n):
@@ -336,10 +369,23 @@ class TestExperiments:
             "d3a089f5c8c2ae4d0ece8e9474b77e10953e8f2e679f8642aaaa7f8568a8fa97"
         )
 
-    def test_enumeration_takes_no_digest(self):
-        got = list(genlab._pooled_instances(2, 2, False, digested=False))
-        assert [inst for inst, _ in got] == list(oracle_enumerate_instances(2, 2, False))
-        assert {digest for _, digest in got} == {None}
+    def test_enumeration_takes_no_digest(self, monkeypatch):
+        def digest(*args):
+            raise AssertionError("enumerate_instances took a digest")
+
+        monkeypatch.setattr(genlab, "digest_state", digest)
+        monkeypatch.setattr(genlab, "instance_digest", digest)
+        got = list(enumerate_instances(2, 2, False))
+        assert got == list(oracle_enumerate_instances(2, 2, False))
+
+    @pytest.mark.parametrize("k, sha", [
+        (3, "f0df945ad71aea1f8e8d95a369a09bff8d06f29939c097f5e5b6c5201cded266"),
+        (5, "23f5cf29dd13bb106f0a8750f2775e6bdb98b91547b5907bdac1db9ed39cf6eb"),
+    ])
+    def test_n0_exhaustive_report_bytes(self, k, sha):
+        # n = 0 is the one exhaustive shape decided per instance
+        rep = run_experiment("boros-bound", k=k, n=0)
+        assert hashlib.sha256(serialize_report(rep).encode()).hexdigest() == sha
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize(
@@ -360,7 +406,7 @@ class TestExperiments:
         if "samples" in kw:
             insts = genlab._sampled_complete("boros-bound", 6, k, n, kw["samples"])
         else:
-            insts = genlab._pooled_instances(k, n, True)
+            insts = ((inst, instance_digest(inst)) for inst in enumerate_instances(k, n, True))
         expected = [(digest, sum(oracle_lane(inst)) % 3 == 0) for inst, digest in insts]
         failed = [digest for digest, fails in expected if fails]
         assert 0 < len(failed) < len(expected)

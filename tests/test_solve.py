@@ -127,6 +127,23 @@ class TestEnumerate:
             with pytest.raises(SpaceTooLargeError, match="10001 or more matchings"):
                 call()
 
+    def test_family_bound_walks_only_past_n_to_the_k(self, monkeypatch):
+        # a family is one of n^k tuples: while n^k fits the bound the family
+        # walk is skipped, and past it a refusal keeps the family walk's text
+        inst = random_instance(0, 3, 4, 0.6)  # incomplete, 12 families
+        want = (count_weakly_stable(inst), count_matchings(inst))
+
+        def walked(acc):
+            raise AssertionError("the family bound was walked")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solve, "_check_family_bound", walked)
+            assert (count_weakly_stable(inst), count_matchings(inst)) == want
+        monkeypatch.setattr(solve, "MAX_CANDIDATE_FAMILIES", 10)
+        for call in (partial(count_weakly_stable, inst), partial(count_matchings, inst)):
+            with pytest.raises(SpaceTooLargeError, match="11 or more candidate families"):
+                call()
+
     def test_no_stable_fixture_enumerates_empty(self, no_stable_instance):
         assert enumerate_weakly_stable(no_stable_instance) == []
 
