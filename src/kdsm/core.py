@@ -13,18 +13,18 @@ checks the shape of ``prefs``, tuples all the way down, building
 is its report form), :func:`check_dims` the dimensions, :func:`check_space` an
 exhaustive space against its fixed bound, and :func:`matching_rows` whether
 a matching fits. It also holds the shared permutations of range(n) for n up
-to ``PERM_CACHE_MAX_N`` (:func:`shared_permutations`), whose ``_better`` rows
-and entry text are built once, and :func:`trusted_instance`, the one
-constructor that skips the checks: the library's generators build an
-instance of the lists they drew through it, with the tables they already
-hold.
+to ``PERM_CACHE_MAX_N`` (:func:`shared_permutations`) with their ``_better``
+rows, built once and index-aligned (:func:`shared_rows`), and
+:func:`trusted_instance`, the one constructor that skips the checks: the
+library's generators build an instance of the lists they drew through it,
+with the tables they already hold.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import permutations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -126,41 +126,32 @@ def check_space(what: str, required: int | tuple[int, int], bound: int) -> None:
 
 
 # Every permutation of range(n), for n up to this size, is one shared tuple
-# (5,040 at n = 7); the library's own generators emit these objects.
-# ``Instance._better`` and ``serialize_instance`` look a list up by its id in
-# the table of the instance's own n, so only that exact object hits, never an
-# equal list such as (0.0, 1, 2), and a tuple of another n gets its own row.
-# The table holds each tuple, so its id is never reused.
+# (5,040 at n = 7); the library's own generators emit these objects and know
+# each list by its index among them.
 PERM_CACHE_MAX_N = 7
-_SHARED_PERMS: dict[int, list[tuple[int, ...]]] = {}
-# per n, by id: (the tuple, its immutable _better row, its entry text)
-_PERM_ENTRIES: dict[int, dict[int, tuple[tuple[int, ...], tuple[int, ...], str]]] = {}
 
 
+@cache
 def shared_permutations(n: int) -> list[tuple[int, ...]]:
     """The shared permutations of range(n), n <= ``PERM_CACHE_MAX_N``, in
     lexicographic order."""
-    perms = _SHARED_PERMS.get(n)
-    if perms is None:
-        perms = list(permutations(range(n)))
-        _PERM_ENTRIES[n] = {
-            id(p): (p, tuple(better_row(p, n)), " ".join(map(str, p))) for p in perms
-        }
-        _SHARED_PERMS[n] = perms
-    return perms
+    return list(permutations(range(n)))
+
+
+@cache
+def shared_rows(n: int) -> list[tuple[int, ...]]:
+    """The immutable ``_better`` row of each of ``shared_permutations(n)``,
+    index-aligned with it."""
+    return [tuple(better_row(p, n)) for p in shared_permutations(n)]
 
 
 def better_row(lst: tuple[int, ...], n: int) -> Sequence[int]:
     """The ``_better`` row of one preference list over [0, n): slot x holds
     the bitmask of the entries listed before x, the ones preferred to x.
     Slot n (so also -1, "unmatched") and every unlisted x hold every listed
-    entry: an unlisted partner is no better than none. A shared permutation
-    of this n returns its immutable row. Raises InvalidInstanceError, without the
-    list's position, for the first entry outside [0, n), repeated or not an
-    integer."""
-    entries = _PERM_ENTRIES.get(n)
-    if entries is not None and (hit := entries.get(id(lst))) is not None:
-        return hit[1]
+    entry: an unlisted partner is no better than none. Raises
+    InvalidInstanceError, without the list's position, for the first entry
+    outside [0, n), repeated or not an integer."""
     masks = [0] * (n + 1)
     acc = 0
     try:
@@ -449,11 +440,9 @@ MATCHING_HEADER = "KDSM-MATCHING 1"
 
 def serialize_instance(inst: Instance) -> str:
     lines = [INSTANCE_HEADER, f"k {inst.k}", f"n {inst.n}"]
-    entries = _PERM_ENTRIES.get(inst.n, {})
     for t, row in enumerate(inst.prefs):
         for i, lst in enumerate(row):
-            hit = entries.get(id(lst))
-            text = hit[2] if hit is not None else " ".join(map(str, lst))
+            text = " ".join(map(str, lst))
             lines.append(f"pref {t} {i} : {text}" if lst else f"pref {t} {i} :")
     lines.append("")  # the final newline
     return "\n".join(lines)

@@ -26,19 +26,21 @@ exhaustive walk and of the hill climb's trials, skip the public checks:
 it is the one constructor that does. ``enumerate_instances`` walks a pool
 of rows, ``product(list_options(n, complete), repeat=n)`` built once per
 call, each row with its ``_better`` rows and its completeness; every
-instance gets its tables by reference. The existence runs take each
-instance with its digest, built from a copy of a hash state
-(``core.digest_state``) and the pieces ``_sample_pieces`` cuts from
-``serialize_instance``'s own text once per call (the header, each slot's
-``pref t i : `` and each shared permutation's entry text, O(k·n + n!)), so
-``instance_digest`` stays the one definition of the digest. A sampled
-instance, n in [1, ``PERM_CACHE_MAX_N``], updates a copy of the state
-after the header with each slot's prefix and the entry text of the
-permutation drawn there; past that n its digest is ``instance_digest``.
-The exhaustive lanes, n in [1, ``BATCH_MAX_N``], walk rows of permutation
-indices in product order (``_exhaustive_lanes``): each digest copies the
-state after the header and the unchanged prefix rows and adds the last
-row's text.
+instance gets its tables by reference. A complete instance drawn with n <=
+``PERM_CACHE_MAX_N`` is known by its lane, the ``shared_permutations(n)``
+index of each slot's list in (t, i) order; ``_picked_instance`` builds it
+with the rows of ``core.shared_rows``. The existence runs take each lane
+with its digest, built from a copy of a hash state (``core.digest_state``)
+and the pieces ``_sample_pieces`` cuts from ``serialize_instance``'s own
+text once per shape (the header, each slot's ``pref t i : `` and each
+shared permutation's entry text, O(k·n + n!)), so ``instance_digest``
+stays the one definition of the digest. A sampled lane adds each slot's
+prefix and drawn entry text to the state after the header; an exhaustive
+lane (``_exhaustive_lanes``, rows of permutation indices in product order)
+copies the state after the header and the unchanged prefix rows and adds
+the last row's text. The one lane of n = 0 is empty, its digest the
+header's. ``_sampled_complete`` draws the instances themselves, with
+``instance_digest``, for every n.
 
 Every experiment runs the same pipeline. Its runner yields one record per
 instance, ``(digest, detail, problem)``, with ``problem`` None when the
@@ -46,11 +48,11 @@ instance passed; ``_report`` turns the records into the one report shape
 (result lines, failure lines, totals, params and summary in key order).
 ``EXPERIMENTS`` maps each id to its runner and defaults. An existence run
 decides ``EXISTENCE_BATCH`` instances at a time at every thread count: for
-n in [1, ``BATCH_MAX_N``] as lanes, the shared-permutation index of each
-slot's list, through ``solve._scan_batch``, one bit per lane; otherwise as
-instances, each through ``count_weakly_stable(limit=1)``. The
-full counts of ``pp-two-matchings`` go through ``count_weakly_stable`` per
-instance (``_count_digested``).
+n <= ``BATCH_MAX_N`` as lanes through ``solve._scan_batch``, one bit per
+lane; otherwise as instances, each through ``count_weakly_stable(limit=1)``.
+``pp-two-matchings`` counts each sampled lane's instance in full
+(``_count_lane``). A process pool receives the lanes, or the instances,
+never their digests (``_map_maybe_parallel``).
 """
 
 from __future__ import annotations
@@ -85,6 +87,7 @@ from .core import (
     serialize_instance,
     serialize_matching,
     shared_permutations,
+    shared_rows,
     space_within,
     trusted_instance,
 )
@@ -226,10 +229,10 @@ def _draw_picks(seed: int, k: int, n: int) -> list[int]:
 def _picked_instance(k: int, n: int, picks: Sequence[int]) -> Instance:
     """The complete instance whose (t, i) list is the ``picks[t * n + i]``-th
     shared permutation, built with its tables."""
-    perms = shared_permutations(n)
-    prefs = tuple(tuple(perms[j] for j in picks[t * n : (t + 1) * n]) for t in range(k))
-    table = [[better_row(p, n) for p in row] for row in prefs]
-    return trusted_instance(k, n, prefs, table, True)
+    perms, rows = shared_permutations(n), shared_rows(n)
+    lanes = [picks[t * n : (t + 1) * n] for t in range(k)]
+    prefs = tuple(tuple(perms[j] for j in lane) for lane in lanes)
+    return trusted_instance(k, n, prefs, [[rows[j] for j in lane] for lane in lanes], True)
 
 
 def random_matching(inst: Instance, seed: int, keep: float = 0.7) -> Matching:
@@ -510,24 +513,28 @@ def parse_report(text: str) -> ExperimentReport:
 
 
 def _map_maybe_parallel(
-    worker: Callable, items: Iterable, threads: int, chunksize: int
-) -> Iterator:
-    """``worker`` over ``items`` in order, streamed; ``threads`` > 1 uses a
+    worker: Callable, pairs: Iterable[tuple], threads: int, chunksize: int
+) -> Iterator[tuple]:
+    """``(digest, worker(item))`` for each ``(item, digest)`` of ``pairs``, in
+    order, streamed; only the items reach ``worker``. ``threads`` > 1 uses a
     process pool that lives as long as the iteration."""
     if threads <= 1:
-        yield from map(worker, items)
+        for item, digest in pairs:
+            yield digest, worker(item)
         return
     from multiprocessing import Pool  # a single-threaded run never loads it
 
+    # the pool's feeder thread appends each digest as it takes the item
+    digests: deque = deque()
+    items = (digests.append(digest) or item for item, digest in pairs)
     with Pool(processes=threads) as pool:
-        yield from pool.imap(worker, items, chunksize=chunksize)
+        for result in pool.imap(worker, items, chunksize=chunksize):
+            yield digests.popleft(), result
 
 
-def _count_digested(item: tuple[Instance, str]) -> tuple[str, int]:
-    """The digest of an instance that comes with it, and the instance's
-    number of weakly stable matchings."""
-    inst, digest = item
-    return digest, count_weakly_stable(inst)
+def _count_lane(lane: Sequence[int], k: int, n: int) -> int:
+    """The number of weakly stable matchings of ``_picked_instance(k, n, lane)``."""
+    return count_weakly_stable(_picked_instance(k, n, lane))
 
 
 # one record per instance: (digest, detail, problem or None when it passed)
@@ -579,17 +586,19 @@ def _derived_seeds(seed: int, name: str) -> Iterator[int]:
         yield gen.getrandbits(63)
 
 
-def _sample_pieces(k: int, n: int) -> tuple[bytes, list[bytes], list[bytes]]:
+@cache
+def _sample_pieces(k: int, n: int) -> tuple[bytes, tuple[bytes, ...], tuple[bytes, ...]]:
     """The pieces of every serialization of a complete k, n instance, n in
-    [1, PERM_CACHE_MAX_N]: the header, each slot's ``pref t i : `` in (t, i)
+    [0, PERM_CACHE_MAX_N]: the header, each slot's ``pref t i : `` in (t, i)
     order, and the entry text of each shared permutation with its line's
-    newline, in order, all in UTF-8. They are cut from
+    newline, in order, all in UTF-8, built once per shape. They are cut from
     ``serialize_instance``'s own text: one instance of this shape per k * n
-    permutations, the last one padded, each pref line cut after its " : "."""
+    permutations (per one at n = 0, which has no slot and no entry text),
+    the last one padded, each pref line cut after its " : "."""
     perms = shared_permutations(n)
     slots = k * n
     texts = []
-    for start in range(0, len(perms), slots):
+    for start in range(0, len(perms), slots or 1):
         chunk = perms[start : start + slots]
         chunk += chunk[-1:] * (slots - len(chunk))
         inst = Instance(k, n, tuple(tuple(chunk[t * n : (t + 1) * n]) for t in range(k)))
@@ -597,11 +606,11 @@ def _sample_pieces(k: int, n: int) -> tuple[bytes, list[bytes], list[bytes]]:
         cut = [line.partition(b" : ") for line in lines[3:]]
         texts += [text for _slot, _sep, text in cut]
     head = b"".join(lines[:3])
-    return head, [slot + sep for slot, sep, _text in cut], texts[: len(perms)]
+    return head, tuple(slot + sep for slot, sep, _text in cut), tuple(texts[: len(perms)])
 
 
 def _exhaustive_lanes(k: int, n: int) -> Iterator[tuple[tuple[int, ...], str]]:
-    """The complete k, n instances, n in [1, PERM_CACHE_MAX_N], in the order
+    """The complete k, n instances, n in [0, PERM_CACHE_MAX_N], in the order
     of :func:`enumerate_instances`, each as its lane (the
     ``shared_permutations(n)`` index of each slot's list) with its digest.
     A row is n such indices in product order; its text for type t joins
@@ -637,11 +646,11 @@ def _exhaustive_lanes(k: int, n: int) -> Iterator[tuple[tuple[int, ...], str]]:
 def _sampled_lanes(
     name: str, seed: int, k: int, n: int, samples: int
 ) -> Iterator[tuple[list[int], str]]:
-    """The seeded complete instances of a sampled experiment, n in [1,
+    """The seeded complete instances of a sampled experiment, n in [0,
     PERM_CACHE_MAX_N], in order, each as its lane (``_draw_picks``) with its
     digest: a copy of the state after the header updated with the slot
-    prefixes of ``_sample_pieces``, built once per call, and the entry
-    texts of the drawn lists, in turn."""
+    prefixes of ``_sample_pieces`` and the entry texts of the drawn lists,
+    in turn."""
     head, prefixes, texts = _sample_pieces(k, n)
     base = digest_state(head)
     pieces = [b""] * (2 * k * n)
@@ -657,13 +666,8 @@ def _sampled_lanes(
 def _sampled_complete(
     name: str, seed: int, k: int, n: int, samples: int
 ) -> Iterator[tuple[Instance, str]]:
-    """The seeded complete instances of a sampled experiment, in order, each
-    with its digest: those of ``_sampled_lanes`` for n in [1,
-    PERM_CACHE_MAX_N], otherwise with ``instance_digest``."""
-    if 1 <= n <= PERM_CACHE_MAX_N:
-        for picks, digest in _sampled_lanes(name, seed, k, n, samples):
-            yield _picked_instance(k, n, picks), digest
-        return
+    """The seeded complete instances of a sampled experiment, any n, in order,
+    each with its ``instance_digest``: those whose lanes ``_sampled_lanes`` draws."""
     for derived in islice(_derived_seeds(seed, name), samples):
         inst = random_instance(derived, k, n, density=1.0)
         yield inst, instance_digest(inst)
@@ -671,9 +675,9 @@ def _sampled_complete(
 
 def _no_stable_mask(batch: list, k: int, n: int) -> int:
     """Bit b set iff the b-th item of ``batch`` admits no weakly stable
-    matching: lanes of complete k, n instances for n in [1, BATCH_MAX_N],
+    matching: lanes of complete k, n instances for n <= BATCH_MAX_N,
     otherwise instances."""
-    if 1 <= n <= BATCH_MAX_N:
+    if n <= BATCH_MAX_N:
         return _scan_batch(k, n, batch)
     return sum(1 << b for b, inst in enumerate(batch) if not count_weakly_stable(inst, limit=1))
 
@@ -690,33 +694,27 @@ def _existence(
     exhaustive = full or (
         samples is None and space_within(_instance_space(k, n, True), EXHAUSTIVE_INSTANCE_CAP)
     )
-    lanes = 1 <= n <= BATCH_MAX_N
     if exhaustive:
         mode = "exhaustive"
+        # the check refuses every n past BATCH_MAX_N: each exhaustive shape runs as lanes
         check_space("instances", _instance_space(k, n, True), MAX_INSTANCES)
-        # only n = 0 runs as instances here: the check refuses n >= 7
-        items = _exhaustive_lanes(k, n) if lanes else (
-            (inst, instance_digest(inst)) for inst in enumerate_instances(k, n, True)
-        )
+        items = _exhaustive_lanes(k, n)
     else:
         if samples is None:
             samples = 100_000
         mode = f"sample-{samples}"
-        items = (_sampled_lanes if lanes else _sampled_complete)(name, seed, k, n, samples)
-    # each batch's digests wait here, in order, while its items are decided
-    digests: deque[list[str]] = deque()
+        sampled = _sampled_lanes if n <= BATCH_MAX_N else _sampled_complete
+        items = sampled(name, seed, k, n, samples)
 
-    def batches() -> Iterator[list]:
+    def batches() -> Iterator[tuple[list, list[str]]]:
         while batch := list(islice(items, EXISTENCE_BATCH)):
-            digests.append([digest for _, digest in batch])
-            yield [item for item, _ in batch]
+            yield [item for item, _ in batch], [digest for _, digest in batch]
 
     def records() -> Iterator[Record]:
-        masks = _map_maybe_parallel(partial(_no_stable_mask, k=k, n=n), batches(), threads, 1)
-        for mask in masks:
-            batch = digests.popleft()
+        worker = partial(_no_stable_mask, k=k, n=n)
+        for digests, mask in _map_maybe_parallel(worker, batches(), threads, 1):
             # bit b of the mask is the b-th character from the right
-            for digest, bit in zip(batch, reversed(f"{mask:0{len(batch)}b}")):
+            for digest, bit in zip(digests, reversed(f"{mask:0{len(digests)}b}")):
                 if bit == "1":
                     yield digest, "stable=0", "admits no weakly stable matching"
                 else:
@@ -735,14 +733,13 @@ def _existence(
 
 def _pp(name: str, samples: int, seed: int, threads: int) -> ExperimentReport:
     k, n = 3, 5
-    instances = _sampled_complete(name, seed, k, n, samples)
+    lanes = _sampled_lanes(name, seed, k, n, samples)
+    worker = partial(_count_lane, k=k, n=n)
     chunksize = max(1, samples // (threads * 8))
     seen: list[int] = []
 
     def records() -> Iterator[Record]:
-        for digest, count in _map_maybe_parallel(
-            _count_digested, instances, threads, chunksize
-        ):
+        for digest, count in _map_maybe_parallel(worker, lanes, threads, chunksize):
             seen.append(count)
             problem = f"has only {count} weakly stable matchings" if count < 2 else None
             yield digest, f"count={count}", problem

@@ -15,10 +15,11 @@ permutation scan (``_scan_complete``): a perfect matching is one
 permutation per type 1..k-1, and bitmask arithmetic on the instance's
 "better than" table decides each without building it. The permutations
 of types 1..k-2 are walked on a stack, so k is not limited by Python's
-recursion limit. A full count with k >= 3 and n <= ``PERM_CACHE_MAX_N``
+recursion limit. Up to n = ``PERM_CACHE_MAX_N`` a count, full or capped,
 decides all n! permutations of the last type at once: bit j of one int
 stands for the j-th, and per prefix one OR of precomputed rows gives the
-blocked ones. Enumeration, ``count_matchings``, the count on every other
+blocked ones; a capped count stops at the first prefix that reaches its
+cap. Enumeration, ``count_matchings``, the count on every other
 instance and ``genlab.certify_no_stable`` walk the matching space with one
 subset walk (``_matchings``), which gives the canonical order and,
 restricted to perfect matchings, serves as the scan's oracle in the tests.
@@ -75,9 +76,9 @@ from .core import (
     Instance,
     KdsmError,
     Matching,
-    better_row,
     check_space,
     shared_permutations,
+    shared_rows,
     space_within,
 )
 from .verify import find_blocking_naive, improvement_masks, lex_families
@@ -140,8 +141,8 @@ def _check_perfect_bound(k: int, n: int) -> None:
 
 
 # up to core's PERM_CACHE_MAX_N the shared permutations of range(n) are
-# paired with their inverses once per n, and a full count decides them all
-# at once, one bit each; a larger n walks them afresh each time
+# paired with their inverses once per n, and a count decides them all at
+# once, one bit each; a larger n walks them afresh each time
 _PERMS: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
 
 
@@ -211,19 +212,17 @@ def _scan_complete(inst: Instance, limit: int | None = None) -> int:
     of type-0 agents whose improvement chains reach it. Under a
     type-(k-1) permutation, (k-2, x) closes a strongly blocking family iff
     one of the type-(k-1) agents it prefers to its partner prefers one of
-    those type-0 agents to its own. A full count with k >= 3 and
-    n <= PERM_CACHE_MAX_N decides all n! last permutations of a prefix at
-    once, one bit each, from the rows of ``_blocking_rows``; otherwise each
-    is decided in turn, and the scan stops once ``limit`` (a positive
-    count, or None for all) stable matchings are found.
+    those type-0 agents to its own. Up to n = PERM_CACHE_MAX_N all n! last
+    permutations of a prefix are decided at once, one bit each, from the
+    rows of ``_blocking_rows``; past it each is decided in turn. The scan
+    stops once ``limit`` (a positive count, or None for all) stable
+    matchings are found, and returns ``limit`` then.
     """
     k, n = inst.k, inst.n
     better = inst._better
     mid, close = better[k - 2], better[k - 1]
-    blk = None
-    if limit is None and k >= 3 and n <= PERM_CACHE_MAX_N:
-        blk = _blocking_rows(inst)
-        last = math.factorial(n)
+    blk = _blocking_rows(inst) if n <= PERM_CACHE_MAX_N else None
+    last = math.factorial(n)
     count = 0
     # every type-0 agent reaches itself; pinv[x] is the type-0 member of (t, x)
     reach: list[int] = [1 << a for a in range(n)]
@@ -242,6 +241,8 @@ def _scan_complete(inst: Instance, limit: int | None = None) -> int:
                     blocked |= row[low.bit_length() - 1]
                     r ^= low
             count += last - blocked.bit_count()
+            if limit is not None and count >= limit:
+                return limit
         else:
             # (improvement row, type-0 family member, reach) of every x that can block
             xs = [(mid[x], pinv[x], r) for x, r in enumerate(reach) if r]
@@ -284,8 +285,7 @@ def _lane_tables(n: int) -> tuple[list[bytes], list[bytes]]:
     ``_perms(n)``, one byte by its index (a ``bytes.translate`` table while
     n! <= 256); per candidate j, the table sending such a byte to b"1" when
     it holds j, else to b"0"."""
-    rows = [better_row(p, n) for p in shared_permutations(n)]
-    at = [bytes(row[q] for row in rows).ljust(256, b"\0") for q in range(n)]
+    at = [bytes(row[q] for row in shared_rows(n)).ljust(256, b"\0") for q in range(n)]
     return at, [bytes(b"01"[m >> j & 1] for m in range(256)) for j in range(n)]
 
 
@@ -466,8 +466,9 @@ def count_weakly_stable(inst: Instance, limit: int | None = None) -> int:
 
     ``limit`` None counts them all; a positive ``limit`` stops at that many,
     ``limit <= 0`` returns 0, and any other ``limit`` than None or an int
-    raises ArgumentError. A complete instance with n >= 1 goes
-    through the permutation scan, for every k. A full count checks the
+    raises ArgumentError. A complete instance with n >= 1 goes through the
+    permutation scan, for every k and ``limit``; up to n = PERM_CACHE_MAX_N
+    it decides the last type's permutations at once. A full count checks the
     perfect-matching bounds first and raises SpaceTooLargeError past them;
     a capped count checks them too, except at k=3, where the scan stops at
     its ``limit``-th hit and is not refused for size. Every other instance

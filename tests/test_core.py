@@ -208,8 +208,9 @@ class TestValidation:
 
 
 class TestSharedPermutations:
-    """A list is looked up by id in the table of its instance's own n: only
-    the shared tuple itself hits. Each case runs with the n=3 table warm."""
+    """A shared tuple is a list like any other: its row and text come from
+    its values and its instance's own n. Each case runs with the n=3
+    permutations drawn."""
 
     @pytest.fixture(autouse=True)
     def warm(self):

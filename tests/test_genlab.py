@@ -299,8 +299,14 @@ class TestExperiments:
     @pytest.mark.parametrize("seed", [0, 1, 2**63 - 1])
     @pytest.mark.parametrize("k, n", SAMPLED_SHAPES)
     def test_sampled_instances_come_with_their_digest(self, k, n, seed):
+        # up to n = 7 the instances are built from the sampled lanes, past it
+        # drawn with their digest
         samples = 40 if n <= 4 else 8
-        got = list(genlab._sampled_complete("boros-bound", seed, k, n, samples))
+        if n <= 7:
+            lanes = genlab._sampled_lanes("boros-bound", seed, k, n, samples)
+            got = [(genlab._picked_instance(k, n, lane), digest) for lane, digest in lanes]
+        else:
+            got = list(genlab._sampled_complete("boros-bound", seed, k, n, samples))
         assert len(got) == samples
         for idx, (inst, digest) in enumerate(got):
             fresh = random_instance(oracle_derived_seed(seed, "boros-bound", idx), k, n)
@@ -314,7 +320,7 @@ class TestExperiments:
     def oracle_lanes(instances):
         return [(oracle_lane(inst), instance_digest(inst)) for inst in instances]
 
-    @pytest.mark.parametrize("k, n", [(3, 1), (3, 2), (4, 2), (6, 2)])
+    @pytest.mark.parametrize("k, n", [(2, 0), (3, 0), (3, 1), (3, 2), (4, 2), (6, 2)])
     def test_exhaustive_lanes_match_the_oracle(self, k, n):
         got = [(list(lane), digest) for lane, digest in genlab._exhaustive_lanes(k, n)]
         assert got == self.oracle_lanes(oracle_enumerate_instances(k, n, True))
@@ -351,7 +357,7 @@ class TestExperiments:
         assert sum(1 for _ in genlab._exhaustive_lanes(4, 2)) == 256
         assert copies == 4 + 16 + 64 + 256
 
-    @pytest.mark.parametrize("k, n", [(3, 1), (3, 3), (3, 4), (4, 3), (2, 7)])
+    @pytest.mark.parametrize("k, n", [(3, 0), (5, 0), (3, 1), (3, 3), (3, 4), (4, 3), (2, 7)])
     def test_sampled_lanes_are_the_sampled_instances(self, k, n):
         got = list(genlab._sampled_lanes("eriksson-bound", 3, k, n, 40))
         want = genlab._sampled_complete("eriksson-bound", 3, k, n, 40)
@@ -383,9 +389,16 @@ class TestExperiments:
         (5, "23f5cf29dd13bb106f0a8750f2775e6bdb98b91547b5907bdac1db9ed39cf6eb"),
     ])
     def test_n0_exhaustive_report_bytes(self, k, sha):
-        # n = 0 is the one exhaustive shape decided per instance
+        # n = 0 runs as one empty lane whose digest is the header's
         rep = run_experiment("boros-bound", k=k, n=0)
         assert hashlib.sha256(serialize_report(rep).encode()).hexdigest() == sha
+
+    def test_n0_sampled_report_bytes(self):
+        # recorded while n = 0 was sampled as instances with instance_digest
+        rep = run_experiment("boros-bound", k=3, n=0, samples=5, seed=2)
+        assert hashlib.sha256(serialize_report(rep).encode()).hexdigest() == (
+            "572a4ceeac4707c79e5b612c2f59c147bdd64a3223cbc2adfa5901cefd796e24"
+        )
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize(
@@ -518,7 +531,7 @@ class TestExperiments:
         ("boros-bound", dict(n=3, samples=60)),
     ])
     def test_threads_match_sequential_sampled(self, experiment, kw):
-        # the pool ships each instance with its digest
+        # the pool receives the lanes; their digests stay in the parent
         seq = run_experiment(experiment, seed=4, threads=1, **kw)
         par = run_experiment(experiment, seed=4, threads=2, **kw)
         assert serialize_report(seq) == serialize_report(par)
@@ -527,6 +540,26 @@ class TestExperiments:
         assert digests == [
             instance_digest(random_instance(oracle_derived_seed(4, experiment, idx), k, n))
             for idx in range(len(digests))
+        ]
+
+    def test_the_pp_pool_receives_lanes(self, monkeypatch):
+        shipped = []
+        real = genlab._map_maybe_parallel
+
+        def spy(worker, pairs, threads, chunksize):
+            pairs = list(pairs)
+            shipped.extend(item for item, _digest in pairs)
+            return real(worker, pairs, threads, chunksize)
+
+        monkeypatch.setattr(genlab, "_map_maybe_parallel", spy)
+        rep = run_experiment("pp-two-matchings", samples=5, seed=1, threads=2)
+        want = [
+            random_instance(oracle_derived_seed(1, "pp-two-matchings", idx), 3, 5)
+            for idx in range(5)
+        ]
+        assert shipped == [oracle_lane(inst) for inst in want]
+        assert [digest for digest, _verdict, _detail in rep.results] == [
+            instance_digest(inst) for inst in want
         ]
 
     @pytest.mark.parametrize("kw", [dict(n=2), dict(k=6, n=2, full=True)])

@@ -189,7 +189,7 @@ def batch_verdicts(k, n, insts, size):
 class TestScanBatch:
     """The batch kernel against the per-instance capped count, lane by lane."""
 
-    @pytest.mark.parametrize("k, n", [(3, 1), (3, 2), (4, 2), (5, 2), (6, 2)])
+    @pytest.mark.parametrize("k, n", [(2, 0), (3, 0), (3, 1), (3, 2), (4, 2), (5, 2), (6, 2)])
     def test_every_exhaustive_lane_matches_the_capped_count(self, k, n):
         insts = list(enumerate_instances(k, n, True))
         want = [count_weakly_stable(inst, limit=1) == 0 for inst in insts]
@@ -276,14 +276,16 @@ class TestCount:
                 assert count_weakly_stable(inst, limit=2) == min(2, want)
 
     def test_bit_parallel_count_matches_the_lazy_scan(self, monkeypatch):
-        # a full count decides every last permutation at once up to
-        # PERM_CACHE_MAX_N; at 0 the same instances go one permutation at a time
+        # a count, full or capped, decides every last permutation at once up
+        # to PERM_CACHE_MAX_N; at 0 the same instances go one permutation at
+        # a time
         rng = random.Random(16)
-        insts = [random_instance(rng.getrandbits(32), k, n, 1.0)
-                 for k, n in ((3, 5), (3, 6), (4, 4), (5, 3), (6, 2)) for _ in range(2)]
-        counts = [count_weakly_stable(inst) for inst in insts]
+        shapes = ((2, 3), (2, 5), (2, 6), (3, 5), (3, 6), (4, 4), (5, 3), (6, 2))
+        insts = [random_instance(rng.getrandbits(32), k, n) for k, n in shapes for _ in range(2)]
+        limits = (None, 1, 2, 5)
+        counts = [[count_weakly_stable(inst, limit) for limit in limits] for inst in insts]
         monkeypatch.setattr(solve, "PERM_CACHE_MAX_N", 0)
-        assert [count_weakly_stable(inst) for inst in insts] == counts
+        assert [[count_weakly_stable(inst, limit) for limit in limits] for inst in insts] == counts
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
