@@ -29,30 +29,29 @@ call, each row with its ``_better`` rows and its completeness; every
 instance gets its tables by reference. A complete instance drawn with n <=
 ``PERM_CACHE_MAX_N`` is known by its lane, the ``shared_permutations(n)``
 index of each slot's list in (t, i) order; ``_picked_instance`` builds it
-with the rows of ``core.shared_rows``. The existence runs take each lane
-with its digest, built from a copy of a hash state (``core.digest_state``)
-and the pieces ``_sample_pieces`` cuts from ``serialize_instance``'s own
-text once per shape (the header, each slot's ``pref t i : `` and each
-shared permutation's entry text, O(k·n + n!)), so ``instance_digest``
-stays the one definition of the digest. A sampled lane adds each slot's
-prefix and drawn entry text to the state after the header; an exhaustive
-lane (``_exhaustive_lanes``, rows of permutation indices in product order)
-copies the state after the header and the unchanged prefix rows and adds
-the last row's text. The one lane of n = 0 is empty, its digest the
-header's. ``_sampled_complete`` draws the instances themselves, with
-``instance_digest``, for every n.
+with the rows of ``core.shared_rows``. An exhaustive existence run walks
+the lanes of its shape in product order, a sampled one draws them
+(``_sampled_lanes``) up to ``BATCH_MAX_N`` and the instances themselves
+(``_sampled_complete``) past it. The one lane of n = 0 is empty.
 
 Every experiment runs the same pipeline. Its runner yields one record per
-instance, ``(digest, detail, problem)``, with ``problem`` None when the
-instance passed; ``_report`` turns the records into the one report shape
-(result lines, failure lines, totals, params and summary in key order).
-``EXPERIMENTS`` maps each id to its runner and defaults. An existence run
-decides ``EXISTENCE_BATCH`` instances at a time at every thread count: for
-n <= ``BATCH_MAX_N`` as lanes through ``solve._scan_batch``, one bit per
-lane; otherwise as instances, each through ``count_weakly_stable(limit=1)``.
+instance, ``(item, detail, problem)``, with the instance or its lane as
+the item and ``problem`` None when the instance passed; ``_report`` turns
+the records into the one report shape (result lines, failure lines,
+totals, params and summary in key order). It digests an item only for a
+line it writes: the first ``RESULT_RECORD_CAP`` records and every
+failure. A lane's digest, ``_lane_digest``, copies the hash state after
+the header (``core.digest_state``) and adds each slot's line for its
+permutation; ``_sample_pieces`` takes these pieces from
+``serialize_instance``'s own text once per shape, so ``instance_digest``
+stays the one definition of the digest. ``EXPERIMENTS`` maps each id to
+its runner and defaults. An existence run decides ``EXISTENCE_BATCH``
+instances at a time at every thread count: for n <= ``BATCH_MAX_N`` as
+lanes through ``solve._scan_batch``, one bit per lane; otherwise as
+instances, each through ``count_weakly_stable(limit=1)``.
 ``pp-two-matchings`` counts each sampled lane's instance in full
 (``_count_lane``). A process pool receives the lanes, or the instances,
-never their digests (``_map_maybe_parallel``).
+and returns only their verdicts (``_map_maybe_parallel``).
 """
 
 from __future__ import annotations
@@ -63,10 +62,11 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, partial
-from hashlib import sha512
+from hashlib import blake2b, sha512
 from itertools import count, islice, permutations, product
 from math import factorial, perm
 from numbers import Real
+from operator import getitem
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -421,8 +421,11 @@ def search_counterexample(
     under ``COUNTEREXAMPLE_EXHAUSTIVE_CAP`` are enumerated outright, larger
     sizes run a seeded randomized descent (:func:`_hill_climb`). The first
     hit is greedily shrunk and certified by full enumeration of its
-    matching space.
+    matching space. Raises ArgumentError for a ``max_n`` or ``seed`` that
+    is not an int (a bool is not).
     """
+    _check_int("max_n", max_n)
+    _check_int("seed", seed)
     for n in range(1, max_n + 1):
         found: Instance | None = None
         if space_within(_instance_space(3, n, False), COUNTEREXAMPLE_EXHAUSTIVE_CAP):
@@ -513,23 +516,22 @@ def parse_report(text: str) -> ExperimentReport:
 
 
 def _map_maybe_parallel(
-    worker: Callable, pairs: Iterable[tuple], threads: int, chunksize: int
+    worker: Callable, items: Iterable, threads: int, chunksize: int
 ) -> Iterator[tuple]:
-    """``(digest, worker(item))`` for each ``(item, digest)`` of ``pairs``, in
-    order, streamed; only the items reach ``worker``. ``threads`` > 1 uses a
-    process pool that lives as long as the iteration."""
+    """``(item, worker(item))`` for each item of ``items``, in order,
+    streamed. ``threads`` > 1 uses a process pool that lives as long as the
+    iteration."""
     if threads <= 1:
-        for item, digest in pairs:
-            yield digest, worker(item)
+        for item in items:
+            yield item, worker(item)
         return
     from multiprocessing import Pool  # a single-threaded run never loads it
 
-    # the pool's feeder thread appends each digest as it takes the item
-    digests: deque = deque()
-    items = (digests.append(digest) or item for item, digest in pairs)
+    # the pool's feeder thread appends each item as it takes it
+    sent: deque = deque()
     with Pool(processes=threads) as pool:
-        for result in pool.imap(worker, items, chunksize=chunksize):
-            yield digests.popleft(), result
+        for result in pool.imap(worker, (sent.append(x) or x for x in items), chunksize):
+            yield sent.popleft(), result
 
 
 def _count_lane(lane: Sequence[int], k: int, n: int) -> int:
@@ -537,8 +539,9 @@ def _count_lane(lane: Sequence[int], k: int, n: int) -> int:
     return count_weakly_stable(_picked_instance(k, n, lane))
 
 
-# one record per instance: (digest, detail, problem or None when it passed)
-Record = tuple[str, str, str | None]
+# one record per instance: (instance or lane, detail, problem or None when
+# it passed); _report digests the item of each record it writes a line for
+Record = tuple[object, str, str | None]
 
 
 def _report(
@@ -546,23 +549,27 @@ def _report(
     params: dict[str, object],
     records: Iterable[Record],
     extra: Callable[[int, int], dict[str, object]] = lambda total, failed: {},
+    digest: Callable[[object], str] = instance_digest,
 ) -> ExperimentReport:
     """The report of one experiment run from its per-instance records.
 
     A record with a problem is a failure. Result lines stop after
     ``RESULT_RECORD_CAP`` records; failures and totals cover them all.
+    ``digest(item)`` runs once for each record that gets a line.
     ``extra(total, failed)`` adds summary entries; params and summary are
     written in key order.
     """
     results = []
     failures = []
     total = 0
-    for digest, detail, problem in records:
+    for item, detail, problem in records:
         total += 1
+        key = None
         if len(results) < RESULT_RECORD_CAP:
-            results.append((digest, "ok" if problem is None else "fail", detail))
+            key = digest(item)
+            results.append((key, "ok" if problem is None else "fail", detail))
         if problem is not None:
-            failures.append(f"{digest} {problem}")
+            failures.append(f"{digest(item) if key is None else key} {problem}")
     summary = {"failures": len(failures), "total": total}
     summary.update(extra(total, len(failures)))
     return ExperimentReport(
@@ -587,90 +594,43 @@ def _derived_seeds(seed: int, name: str) -> Iterator[int]:
 
 
 @cache
-def _sample_pieces(k: int, n: int) -> tuple[bytes, tuple[bytes, ...], tuple[bytes, ...]]:
+def _sample_pieces(k: int, n: int) -> tuple[blake2b, tuple[tuple[bytes, ...], ...]]:
     """The pieces of every serialization of a complete k, n instance, n in
-    [0, PERM_CACHE_MAX_N]: the header, each slot's ``pref t i : `` in (t, i)
-    order, and the entry text of each shared permutation with its line's
-    newline, in order, all in UTF-8, built once per shape. They are cut from
-    ``serialize_instance``'s own text: one instance of this shape per k * n
-    permutations (per one at n = 0, which has no slot and no entry text),
-    the last one padded, each pref line cut after its " : "."""
-    perms = shared_permutations(n)
-    slots = k * n
-    texts = []
-    for start in range(0, len(perms), slots or 1):
-        chunk = perms[start : start + slots]
-        chunk += chunk[-1:] * (slots - len(chunk))
-        inst = Instance(k, n, tuple(tuple(chunk[t * n : (t + 1) * n]) for t in range(k)))
-        lines = serialize_instance(inst).encode("utf-8").splitlines(keepends=True)
-        cut = [line.partition(b" : ") for line in lines[3:]]
-        texts += [text for _slot, _sep, text in cut]
-    head = b"".join(lines[:3])
-    return head, tuple(slot + sep for slot, sep, _text in cut), tuple(texts[: len(perms)])
-
-
-def _exhaustive_lanes(k: int, n: int) -> Iterator[tuple[tuple[int, ...], str]]:
-    """The complete k, n instances, n in [0, PERM_CACHE_MAX_N], in the order
-    of :func:`enumerate_instances`, each as its lane (the
-    ``shared_permutations(n)`` index of each slot's list) with its digest.
-    A row is n such indices in product order; its text for type t joins
-    each slot's prefix of ``_sample_pieces`` and its list's entry text.
-    ``hashes[t]`` is the digest state after the header and the rows of
-    types below t, rebuilt from the first type whose row changed; each
-    digest updates a copy of ``hashes[k - 1]`` with the last row alone."""
-    head, prefixes, texts = _sample_pieces(k, n)
-    pool = [
-        (row, [b"".join([prefixes[t * n + i] + texts[j] for i, j in enumerate(row)])
-               for t in range(k)])
-        for row in product(range(factorial(n)), repeat=n)
+    [0, PERM_CACHE_MAX_N], built once per shape: the digest state after the
+    header and, per slot in (t, i) order, its whole UTF-8 line ``pref t i :
+    <entries>`` with its newline for each shared permutation, in order. They
+    are the lines of ``serialize_instance``'s own text, one instance per
+    shared permutation with every list that permutation."""
+    texts = [
+        serialize_instance(Instance(k, n, ((perm,) * n,) * k)).encode("utf-8")
+        .splitlines(keepends=True)
+        for perm in shared_permutations(n)
     ]
-    last = k - 1
-    hashes = [digest_state(head)] + [None] * last
-    before = (None,) * last
-    for prefix in product(pool, repeat=last):
-        # the first type whose row changed; product changes the last ones first
-        changed = next(t for t in range(last) if prefix[t] is not before[t])
-        before = prefix
-        for t in range(changed, last):
-            state = hashes[t].copy()
-            state.update(prefix[t][1][t])
-            hashes[t + 1] = state
-        base = hashes[last]
-        lane = sum((row for row, _ in prefix), ())
-        for row, text in pool:
-            state = base.copy()
-            state.update(text[last])
-            yield lane + row, state.hexdigest()
+    return digest_state(b"".join(texts[0][:3])), tuple(zip(*(lines[3:] for lines in texts)))
 
 
-def _sampled_lanes(
-    name: str, seed: int, k: int, n: int, samples: int
-) -> Iterator[tuple[list[int], str]]:
+def _lane_digest(k: int, n: int, lane: Sequence[int]) -> str:
+    """``instance_digest(_picked_instance(k, n, lane))`` from the pieces of
+    ``_sample_pieces``: a copy of the header state updated with each slot's
+    line for its permutation."""
+    head, lines_of = _sample_pieces(k, n)
+    state = head.copy()
+    state.update(b"".join(map(getitem, lines_of, lane)))
+    return state.hexdigest()
+
+
+def _sampled_lanes(name: str, seed: int, k: int, n: int, samples: int) -> Iterator[list[int]]:
     """The seeded complete instances of a sampled experiment, n in [0,
-    PERM_CACHE_MAX_N], in order, each as its lane (``_draw_picks``) with its
-    digest: a copy of the state after the header updated with the slot
-    prefixes of ``_sample_pieces`` and the entry texts of the drawn lists,
-    in turn."""
-    head, prefixes, texts = _sample_pieces(k, n)
-    base = digest_state(head)
-    pieces = [b""] * (2 * k * n)
-    pieces[::2] = prefixes
+    PERM_CACHE_MAX_N], in order, each as its lane (``_draw_picks``)."""
     for derived in islice(_derived_seeds(seed, name), samples):
-        picks = _draw_picks(derived, k, n)
-        pieces[1::2] = map(texts.__getitem__, picks)
-        state = base.copy()
-        state.update(b"".join(pieces))
-        yield picks, state.hexdigest()
+        yield _draw_picks(derived, k, n)
 
 
-def _sampled_complete(
-    name: str, seed: int, k: int, n: int, samples: int
-) -> Iterator[tuple[Instance, str]]:
-    """The seeded complete instances of a sampled experiment, any n, in order,
-    each with its ``instance_digest``: those whose lanes ``_sampled_lanes`` draws."""
+def _sampled_complete(name: str, seed: int, k: int, n: int, samples: int) -> Iterator[Instance]:
+    """The seeded complete instances of a sampled experiment, any n, in order:
+    those whose lanes ``_sampled_lanes`` draws."""
     for derived in islice(_derived_seeds(seed, name), samples):
-        inst = random_instance(derived, k, n, density=1.0)
-        yield inst, instance_digest(inst)
+        yield random_instance(derived, k, n, density=1.0)
 
 
 def _no_stable_mask(batch: list, k: int, n: int) -> int:
@@ -698,7 +658,7 @@ def _existence(
         mode = "exhaustive"
         # the check refuses every n past BATCH_MAX_N: each exhaustive shape runs as lanes
         check_space("instances", _instance_space(k, n, True), MAX_INSTANCES)
-        items = _exhaustive_lanes(k, n)
+        items = product(range(factorial(n)), repeat=k * n)
     else:
         if samples is None:
             samples = 100_000
@@ -706,19 +666,16 @@ def _existence(
         sampled = _sampled_lanes if n <= BATCH_MAX_N else _sampled_complete
         items = sampled(name, seed, k, n, samples)
 
-    def batches() -> Iterator[tuple[list, list[str]]]:
-        while batch := list(islice(items, EXISTENCE_BATCH)):
-            yield [item for item, _ in batch], [digest for _, digest in batch]
-
     def records() -> Iterator[Record]:
         worker = partial(_no_stable_mask, k=k, n=n)
-        for digests, mask in _map_maybe_parallel(worker, batches(), threads, 1):
+        batches = iter(lambda: list(islice(items, EXISTENCE_BATCH)), [])
+        for batch, mask in _map_maybe_parallel(worker, batches, threads, 1):
             # bit b of the mask is the b-th character from the right
-            for digest, bit in zip(digests, reversed(f"{mask:0{len(digests)}b}")):
+            for item, bit in zip(batch, reversed(f"{mask:0{len(batch)}b}")):
                 if bit == "1":
-                    yield digest, "stable=0", "admits no weakly stable matching"
+                    yield item, "stable=0", "admits no weakly stable matching"
                 else:
-                    yield digest, "stable>=1", None
+                    yield item, "stable>=1", None
 
     return _report(
         name,
@@ -728,6 +685,7 @@ def _existence(
             "results_truncated": "yes" if total > RESULT_RECORD_CAP else "no",
             "with_stable": total - failed,
         },
+        partial(_lane_digest, k, n) if n <= BATCH_MAX_N else instance_digest,
     )
 
 
@@ -739,16 +697,17 @@ def _pp(name: str, samples: int, seed: int, threads: int) -> ExperimentReport:
     seen: list[int] = []
 
     def records() -> Iterator[Record]:
-        for digest, count in _map_maybe_parallel(worker, lanes, threads, chunksize):
+        for lane, count in _map_maybe_parallel(worker, lanes, threads, chunksize):
             seen.append(count)
             problem = f"has only {count} weakly stable matchings" if count < 2 else None
-            yield digest, f"count={count}", problem
+            yield lane, f"count={count}", problem
 
     return _report(
         name,
         {"k": k, "n": n, "samples": samples, "seed": seed},
         records(),
         lambda total, failed: {"min_count": min(seen, default=0)},
+        partial(_lane_digest, k, n),
     )
 
 
@@ -772,7 +731,7 @@ def _verifier_equivalence(name: str, samples: int, seed: int) -> ExperimentRepor
                 if (naive is None) == (cycle is None)
                 else f"verdict mismatch on matching {serialize_matching(m)!r}"
             )
-            yield instance_digest(inst), detail, problem
+            yield inst, detail, problem
 
     return _report(name, {"samples": samples, "seed": seed}, records())
 
@@ -813,7 +772,7 @@ def _lift_equivalence(
                     problems.append("transport round trip broken")
                     break
             yield (
-                instance_digest(inst),
+                inst,
                 f"in={len(stable_in)} out={len(stable_out)}",
                 "; ".join(problems) or None,
             )
@@ -880,7 +839,7 @@ def _completion(
                 problems.append("induce round trip broken")
             problems.extend(_run_gadget_checkers(gm, m_hat, m_down))
             yield (
-                instance_digest(inst),
+                inst,
                 f"n={n} families={len(m)}",
                 "; ".join(problems) or None,
             )

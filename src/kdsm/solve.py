@@ -67,6 +67,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, reduce
 from itertools import chain, islice, permutations
+from numbers import Real
 from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
@@ -98,12 +99,19 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class Budget:
-    """Limits of ``find_weakly_stable``: None is unset, a negative one raises KdsmError."""
+    """Limits of ``find_weakly_stable``: None is unset. A ``max_nodes`` that
+    is not an int or a ``max_seconds`` that is not a real number (a bool is
+    neither) raises ArgumentError, a negative one KdsmError."""
 
     max_nodes: int | None = None
     max_seconds: float | None = None
 
     def __post_init__(self) -> None:
+        if self.max_nodes is not None and type(self.max_nodes) is not int:
+            raise ArgumentError(f"max_nodes must be an integer, got {self.max_nodes!r}")
+        seconds = self.max_seconds
+        if seconds is not None and (isinstance(seconds, bool) or not isinstance(seconds, Real)):
+            raise ArgumentError(f"max_seconds must be a real number, got {seconds!r}")
         for name in ("max_nodes", "max_seconds"):
             value = getattr(self, name)
             if value is not None and not value >= 0:  # NaN fails too
@@ -495,9 +503,13 @@ def find_weakly_stable(inst: Instance, budget: Budget | None = None) -> SolveOut
     sibling the level's memo shows blocked (module docstring). FOUND carries
     a matching re-certified by the verifier; EXHAUSTED-NONE certifies that
     the whole decision tree was covered. Node counts are deterministic.
+    Raises ArgumentError for a ``budget`` that is neither a Budget nor None.
     """
     t_start = time.perf_counter()
-    budget = budget or Budget()
+    if budget is None:
+        budget = Budget()
+    elif not isinstance(budget, Budget):
+        raise ArgumentError(f"budget must be a Budget or None, got {budget!r}")
     k, n = inst.k, inst.n
     prefs = inst.prefs
     # the node budget and the deadline, infinite when unset; the deadline is

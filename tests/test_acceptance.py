@@ -8,6 +8,7 @@ the heavy exhaustive stage (criterion 2) covers all 10,077,696 complete
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
@@ -37,6 +38,7 @@ from kdsm import (
     search_counterexample,
     serialize_instance,
     serialize_matching,
+    serialize_report,
     transport_matching,
 )
 
@@ -87,6 +89,9 @@ def test_criterion_2_boros_bound_exhaustive():
     assert rep3.failures == ()
     assert s3["total"] == str(6**9) == "10077696"
     assert s3["with_stable"] == s3["total"]
+    assert hashlib.sha256(serialize_report(rep3).encode()).hexdigest() == (
+        "970dfb1f78c75964010815bb9dd33fe7707c08b8ed99dffc71e876c98d45a18c"
+    )
 
 
 def test_criterion_3_eriksson_bound_sampled():

@@ -207,6 +207,17 @@ class TestEnumerateInstances:
 
 
 class TestSearchCounterexample:
+    @pytest.mark.parametrize("kw, match", [
+        (dict(max_n="3"), "max_n must be an integer, got '3'"),
+        (dict(max_n=2.5), "max_n must be an integer, got 2.5"),
+        (dict(max_n=True), "max_n must be an integer, got True"),
+        (dict(seed="0"), "seed must be an integer, got '0'"),
+        (dict(seed=1.0), "seed must be an integer, got 1.0"),
+    ])
+    def test_bad_arguments_raise(self, kw, match):
+        with pytest.raises(ArgumentError, match=f"^{re.escape(match)}$"):
+            search_counterexample(**kw)
+
     def test_small_sizes_have_no_counterexample(self):
         # n = 1: either no family (empty matching stable) or a one-family
         # matching that is stable; exhaustive over all 8 instances
@@ -299,69 +310,74 @@ class TestExperiments:
     @pytest.mark.parametrize("seed", [0, 1, 2**63 - 1])
     @pytest.mark.parametrize("k, n", SAMPLED_SHAPES)
     def test_sampled_instances_come_with_their_digest(self, k, n, seed):
-        # up to n = 7 the instances are built from the sampled lanes, past it
-        # drawn with their digest
+        # up to n = 7 the instances are built from the sampled lanes, each
+        # digested by _lane_digest; past it drawn themselves
         samples = 40 if n <= 4 else 8
         if n <= 7:
-            lanes = genlab._sampled_lanes("boros-bound", seed, k, n, samples)
-            got = [(genlab._picked_instance(k, n, lane), digest) for lane, digest in lanes]
+            lanes = list(genlab._sampled_lanes("boros-bound", seed, k, n, samples))
+            got = [genlab._picked_instance(k, n, lane) for lane in lanes]
         else:
             got = list(genlab._sampled_complete("boros-bound", seed, k, n, samples))
         assert len(got) == samples
-        for idx, (inst, digest) in enumerate(got):
+        for idx, inst in enumerate(got):
             fresh = random_instance(oracle_derived_seed(seed, "boros-bound", idx), k, n)
             want = Instance(k, n, fresh.prefs)  # lists checked, tables built per list
             assert inst == fresh == want
             assert tables(inst) == tables(fresh) == tables(want)
             assert inst.is_complete
-            assert digest == instance_digest(fresh) == instance_digest(want)
+            if n <= 7:
+                assert lanes[idx] == oracle_lane(want)
+                assert genlab._lane_digest(k, n, lanes[idx]) == instance_digest(want)
 
     @staticmethod
-    def oracle_lanes(instances):
-        return [(oracle_lane(inst), instance_digest(inst)) for inst in instances]
+    def spy_kernel(monkeypatch, stop=None):
+        """The lanes the batch kernel receives, in order; a stand-in kernel
+        passes every lane and ends the run once ``stop`` lanes arrived."""
+        shipped = []
+
+        class Enough(Exception):
+            pass
+
+        def kernel(k, n, lanes):
+            shipped.extend(map(list, lanes))
+            if stop is not None and len(shipped) >= stop:
+                raise Enough
+            return 0
+
+        monkeypatch.setattr(genlab, "_scan_batch", kernel)
+        return shipped, Enough
 
     @pytest.mark.parametrize("k, n", [(2, 0), (3, 0), (3, 1), (3, 2), (4, 2), (6, 2)])
-    def test_exhaustive_lanes_match_the_oracle(self, k, n):
-        got = [(list(lane), digest) for lane, digest in genlab._exhaustive_lanes(k, n)]
-        assert got == self.oracle_lanes(oracle_enumerate_instances(k, n, True))
-        assert len(got) == count_instances(k, n, True)
+    def test_exhaustive_lanes_match_the_oracle(self, monkeypatch, k, n):
+        shipped, _ = self.spy_kernel(monkeypatch)
+        rep = run_experiment("boros-bound", k=k, n=n, full=True)
+        insts = list(oracle_enumerate_instances(k, n, True))
+        assert shipped == [oracle_lane(inst) for inst in insts]
+        assert [genlab._lane_digest(k, n, lane) for lane in shipped] == [
+            digest for digest, _verdict, _detail in rep.results
+        ] == [instance_digest(inst) for inst in insts]
+        assert len(shipped) == count_instances(k, n, True)
 
-    def test_exhaustive_lanes_match_the_oracle_on_a_k3n3_slice(self):
+    def test_exhaustive_lanes_match_the_oracle_on_a_k3n3_slice(self, monkeypatch):
         # from 500 before the 46,656th instance, where every type's row steps
-        window = lambda it: islice(it, 46_656 - 500, 46_656 + 500)
-        got = [(list(lane), digest) for lane, digest in window(genlab._exhaustive_lanes(3, 3))]
-        assert got == self.oracle_lanes(window(oracle_enumerate_instances(3, 3, True)))
-
-    def test_exhaustive_lanes_copy_a_prefix_state_only_when_its_row_changes(self, monkeypatch):
-        # per type t < k - 1 one copy per distinct prefix of types 0..t, and
-        # one per instance: 4 + 16 + 64 + 256 at k=4, n=2 (4 rows)
-        copies = 0
-
-        class Counted:
-            def __init__(self, state):
-                self.state = state
-
-            def copy(self):
-                nonlocal copies
-                copies += 1
-                return Counted(self.state.copy())
-
-            def update(self, data):
-                self.state.update(data)
-
-            def hexdigest(self):
-                return self.state.hexdigest()
-
-        real = genlab.digest_state
-        monkeypatch.setattr(genlab, "digest_state", lambda head: Counted(real(head)))
-        assert sum(1 for _ in genlab._exhaustive_lanes(4, 2)) == 256
-        assert copies == 4 + 16 + 64 + 256
+        shipped, enough = self.spy_kernel(monkeypatch, stop=46_656 + 500)
+        with pytest.raises(enough):
+            run_experiment("boros-bound", n=3, full=True)
+        got = shipped[46_656 - 500 : 46_656 + 500]
+        want = list(islice(oracle_enumerate_instances(3, 3, True), 46_656 - 500, 46_656 + 500))
+        assert got == [oracle_lane(inst) for inst in want]
+        assert [genlab._lane_digest(3, 3, lane) for lane in got] == [
+            instance_digest(inst) for inst in want
+        ]
 
     @pytest.mark.parametrize("k, n", [(3, 0), (5, 0), (3, 1), (3, 3), (3, 4), (4, 3), (2, 7)])
     def test_sampled_lanes_are_the_sampled_instances(self, k, n):
         got = list(genlab._sampled_lanes("eriksson-bound", 3, k, n, 40))
-        want = genlab._sampled_complete("eriksson-bound", 3, k, n, 40)
-        assert got == [(oracle_lane(inst), digest) for inst, digest in want]
+        want = list(genlab._sampled_complete("eriksson-bound", 3, k, n, 40))
+        assert got == [oracle_lane(inst) for inst in want]
+        assert [genlab._lane_digest(k, n, lane) for lane in got] == [
+            instance_digest(inst) for inst in want
+        ]
 
     def test_n7_goes_through_the_capped_count(self, monkeypatch):
         # at n = 7 a batch's walk costs more than one capped scan per
@@ -419,8 +435,8 @@ class TestExperiments:
         if "samples" in kw:
             insts = genlab._sampled_complete("boros-bound", 6, k, n, kw["samples"])
         else:
-            insts = ((inst, instance_digest(inst)) for inst in enumerate_instances(k, n, True))
-        expected = [(digest, sum(oracle_lane(inst)) % 3 == 0) for inst, digest in insts]
+            insts = enumerate_instances(k, n, True)
+        expected = [(instance_digest(inst), sum(oracle_lane(inst)) % 3 == 0) for inst in insts]
         failed = [digest for digest, fails in expected if fails]
         assert 0 < len(failed) < len(expected)
         assert rep.results == tuple(
@@ -433,6 +449,37 @@ class TestExperiments:
         assert summary["total"] == str(len(expected))
         assert summary["with_stable"] == str(len(expected) - len(failed))
         assert summary["results_truncated"] == "yes"
+
+    @pytest.mark.parametrize("experiment, kw", [
+        ("boros-bound", dict(n=3, samples=150)),
+        ("boros-bound", dict(k=4, n=2)),
+        ("pp-two-matchings", dict(samples=14)),
+    ])
+    def test_a_report_digests_only_the_lines_it_writes(self, monkeypatch, experiment, kw):
+        # a stand-in kernel fails the lanes whose indices sum to a multiple of
+        # 4; a lane is digested once if it gets a result line, a failure line
+        # or both, and never otherwise
+        calls = []
+        real = genlab._lane_digest
+
+        def counted(k, n, lane):
+            calls.append(list(lane))
+            return real(k, n, lane)
+
+        def fake(k, n, lanes):
+            return sum(1 << b for b, lane in enumerate(lanes) if sum(lane) % 4 == 0)
+
+        monkeypatch.setattr(genlab, "_lane_digest", counted)
+        monkeypatch.setattr(genlab, "_scan_batch", fake)
+        monkeypatch.setattr(genlab, "EXISTENCE_BATCH", 16)
+        monkeypatch.setattr(genlab, "RESULT_RECORD_CAP", 10)
+        rep = run_experiment(experiment, seed=6, **kw)
+        failed_in_lines = sum(verdict == "fail" for _digest, verdict, _detail in rep.results)
+        assert len(rep.results) == 10
+        if experiment == "boros-bound":
+            assert 0 < failed_in_lines < len(rep.failures)
+        assert len(calls) == len(rep.results) + len(rep.failures) - failed_in_lines
+        assert len(calls) == len({tuple(lane) for lane in calls})
 
     def test_boros_n2_exhaustive(self):
         rep = run_experiment("boros-bound", n=2)
@@ -546,10 +593,10 @@ class TestExperiments:
         shipped = []
         real = genlab._map_maybe_parallel
 
-        def spy(worker, pairs, threads, chunksize):
-            pairs = list(pairs)
-            shipped.extend(item for item, _digest in pairs)
-            return real(worker, pairs, threads, chunksize)
+        def spy(worker, items, threads, chunksize):
+            items = list(items)
+            shipped.extend(items)
+            return real(worker, items, threads, chunksize)
 
         monkeypatch.setattr(genlab, "_map_maybe_parallel", spy)
         rep = run_experiment("pp-two-matchings", samples=5, seed=1, threads=2)
@@ -558,9 +605,9 @@ class TestExperiments:
             for idx in range(5)
         ]
         assert shipped == [oracle_lane(inst) for inst in want]
-        assert [digest for digest, _verdict, _detail in rep.results] == [
-            instance_digest(inst) for inst in want
-        ]
+        assert [genlab._lane_digest(3, 5, lane) for lane in shipped] == [
+            digest for digest, _verdict, _detail in rep.results
+        ] == [instance_digest(inst) for inst in want]
 
     @pytest.mark.parametrize("kw", [dict(n=2), dict(k=6, n=2, full=True)])
     def test_threads_match_sequential_exhaustive(self, kw):

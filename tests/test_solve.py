@@ -1,5 +1,7 @@
 import gc
 import random
+import re
+from fractions import Fraction
 from functools import partial
 from itertools import islice, permutations, product
 
@@ -429,6 +431,29 @@ class TestFind:
     def test_negative_budget_raises(self, kw):
         with pytest.raises(KdsmError, match="must be >= 0"):
             Budget(**kw)
+
+    @pytest.mark.parametrize("kw, match", [
+        (dict(max_nodes="5"), "max_nodes must be an integer, got '5'"),
+        (dict(max_nodes=2.5), "max_nodes must be an integer, got 2.5"),
+        (dict(max_nodes=True), "max_nodes must be an integer, got True"),
+        (dict(max_seconds="1"), "max_seconds must be a real number, got '1'"),
+        (dict(max_seconds=False), "max_seconds must be a real number, got False"),
+        (dict(max_seconds=1j), "max_seconds must be a real number, got 1j"),
+    ])
+    def test_a_budget_of_the_wrong_type_raises(self, kw, match):
+        with pytest.raises(ArgumentError, match=f"^{re.escape(match)}$"):
+            Budget(**kw)
+
+    @pytest.mark.parametrize("budget", [5, 0, "5", {"max_nodes": 5}])
+    def test_a_budget_that_is_not_a_budget_raises(self, no_stable_instance, budget):
+        with pytest.raises(ArgumentError, match="^budget must be a Budget or None, got "):
+            find_weakly_stable(no_stable_instance, budget)
+
+    def test_a_real_time_budget_is_taken(self, no_stable_instance):
+        # an int or a Fraction is a real number of seconds
+        for seconds in (60, Fraction(60)):
+            out = find_weakly_stable(no_stable_instance, Budget(max_seconds=seconds))
+            assert out.status is SolveStatus.EXHAUSTED_NONE
 
     def test_agrees_with_enumeration(self):
         rng = random.Random(13)
