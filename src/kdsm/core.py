@@ -10,14 +10,15 @@ diagnostics, and the canonical text formats for instances and matchings. It
 decides each input check in one place for every module: the constructor
 checks the shape of ``prefs``, tuples all the way down, building
 ``Instance._better`` checks the lists' entries (:func:`validate_instance`
-is its report form), :func:`check_dims` the dimensions, :func:`check_space` an
-exhaustive space against its fixed bound, and :func:`matching_rows` whether
-a matching fits. It also holds the shared permutations of range(n) for n up
-to ``PERM_CACHE_MAX_N`` (:func:`shared_permutations`) with their ``_better``
-rows, built once and index-aligned (:func:`shared_rows`), and
-:func:`trusted_instance`, the one constructor that skips the checks: the
-library's generators build an instance of the lists they drew through it,
-with the tables they already hold.
+is its report form), :func:`check_dims` the dimensions, :func:`check_agent`
+an agent's coordinates, :func:`check_space` an exhaustive space against its
+fixed bound, and :func:`matching_rows` whether a matching fits. It also
+holds the shared permutations of range(n) for n up to ``PERM_CACHE_MAX_N``
+(:func:`shared_permutations`) with their ``_better`` rows, built once and
+index-aligned (:func:`shared_rows`), and :func:`trusted_instance`, the one
+constructor that skips the checks: the library's generators build an
+instance of the lists they made through it, with the tables they already
+hold.
 """
 
 from __future__ import annotations
@@ -178,6 +179,13 @@ class AgentRef(NamedTuple):
     i: int
 
 
+def check_agent(what: str, a: AgentRef, k: int, n: int) -> None:
+    """Raise ArgumentError "<what> (t, i) out of range" unless ``a`` is an
+    agent of a k-type market with n agents per type."""
+    if not (0 <= a.t < k and 0 <= a.i < n):
+        raise ArgumentError(f"{what} {tuple(a)} out of range")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A k-type cyclic market with ``n`` agent slots per type.
@@ -251,7 +259,9 @@ class Instance:
         return table
 
     def rank_of(self, a: AgentRef, candidate: int) -> int | None:
-        """Position of ``candidate`` in a's list, or None if absent."""
+        """Position of ``candidate`` in a's list, or None if absent.
+        ArgumentError for an agent ``a`` outside the instance."""
+        check_agent("agent", a, self.k, self.n)
         masks = self._better[a.t][a.i]
         if 0 <= candidate < self.n and masks[-1] >> candidate & 1:
             return masks[candidate].bit_count()
@@ -330,24 +340,26 @@ def prefers(inst: Instance, a: AgentRef, b: AgentRef, c: AgentRef) -> bool:
     ``b`` must be of a's successor type. ``c`` is either of the successor
     type or equal to ``a`` itself, the encoding for "unmatched"; an agent
     never lists itself, so any listed ``b`` beats it. An unlisted ``b``
-    never wins, and two unlisted candidates are incomparable.
+    never wins, and two unlisted candidates are incomparable. Raises
+    ArgumentError for an agent outside the instance and TypeMismatchError
+    for a ``b`` or ``c`` of another type.
     """
+    k, n = inst.k, inst.n
+    check_agent("agent", a, k, n)
     nt = inst.next_type(a.t)
     if b.t != nt:
         raise TypeMismatchError(
             f"candidate {tuple(b)} is not of type {nt}, the successor type of {tuple(a)}"
         )
-    if c != a and c.t != nt:
-        raise TypeMismatchError(
-            f"incumbent {tuple(c)} must be of type {nt} or the agent itself"
-        )
-    rb = inst.rank_of(a, b.i)
-    if rb is None:
-        return False
-    if c == a:
-        return True
-    rc = inst.rank_of(a, c.i)
-    return rc is None or rb < rc
+    check_agent("candidate", b, k, n)
+    if c != a:
+        if c.t != nt:
+            raise TypeMismatchError(
+                f"incumbent {tuple(c)} must be of type {nt} or the agent itself"
+            )
+        check_agent("incumbent", c, k, n)
+    # slot -1 of a better row, "unmatched", holds every listed entry
+    return bool(inst._better[a.t][a.i][-1 if c == a else c.i] >> b.i & 1)
 
 
 @dataclass(frozen=True)

@@ -20,19 +20,20 @@ makes the draws of the stdlib's ``_randbelow``, so a change to the stdlib's
 permutation of ``core.shared_permutations`` that the shuffle's draws select,
 drawn as its index there.
 
-The lists the library draws itself, those of ``_draw_picks``, of the
-exhaustive walk and of the hill climb's trials, skip the public checks:
-``core.trusted_instance`` builds the frozen instance with its tables, and
-it is the one constructor that does. ``enumerate_instances`` walks a pool
-of rows, ``product(list_options(n, complete), repeat=n)`` built once per
-call, each row with its ``_better`` rows and its completeness; every
-instance gets its tables by reference. A complete instance drawn with n <=
-``PERM_CACHE_MAX_N`` is known by its lane, the ``shared_permutations(n)``
-index of each slot's list in (t, i) order; ``_picked_instance`` builds it
-with the rows of ``core.shared_rows``. An exhaustive existence run walks
-the lanes of its shape in product order, a sampled one draws them
-(``_sampled_lanes``) up to ``BATCH_MAX_N`` and the instances themselves
-(``_sampled_complete``) past it. The one lane of n = 0 is empty.
+The lists the library makes itself, those of ``_draw_picks``, of
+``enumerate_instances`` and of the hill climb's trials, skip the public
+checks: ``core.trusted_instance`` builds the frozen instance with its
+tables, and it is the one constructor that does. An instance that
+``enumerate_instances`` yields, or a complete one drawn with n <=
+``PERM_CACHE_MAX_N``, is known by its lane, the index of each slot's list
+in (t, i) order in a table of options; ``_picked_instance`` builds it from
+the options and their ``_better`` rows. ``enumerate_instances`` maps it
+over the lanes of ``list_options(n, complete)`` in product order, each
+option's row built once per call; drawn lanes index
+``shared_permutations(n)`` and ``core.shared_rows``. An exhaustive
+existence run walks the lanes of a complete enumeration, a sampled one
+draws them (``_sampled_lanes``) up to ``BATCH_MAX_N`` and the instances
+themselves (``_sampled_complete``) past it. The one lane of n = 0 is empty.
 
 Every experiment runs the same pipeline. Its runner yields one record per
 instance, ``(item, detail, problem)``, with the instance or its lane as
@@ -183,6 +184,12 @@ def _check_int(name: str, value: int) -> None:
         raise ArgumentError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_bool(name: str, value: bool) -> None:
+    """Raise ArgumentError unless ``value`` is a bool."""
+    if type(value) is not bool:
+        raise ArgumentError(f"{name} must be a bool, got {value!r}")
+
+
 def random_instance(seed: int, k: int, n: int, density: float = 1.0) -> Instance:
     """A seeded random instance; each list is a random permutation of a
     random subset holding each candidate independently with probability
@@ -202,7 +209,7 @@ def random_instance(seed: int, k: int, n: int, density: float = 1.0) -> Instance
         return Instance(k, n, tuple(
             tuple(_random_list(rng, n, density) for _i in range(n)) for _t in range(k)
         ))
-    return _picked_instance(k, n, _draw_picks(seed, k, n))
+    return _picked_instance(k, n, shared_permutations(n), shared_rows(n), _draw_picks(seed, k, n))
 
 
 def _draw_picks(seed: int, k: int, n: int) -> list[int]:
@@ -226,13 +233,14 @@ def _draw_picks(seed: int, k: int, n: int) -> list[int]:
     return picks
 
 
-def _picked_instance(k: int, n: int, picks: Sequence[int]) -> Instance:
-    """The complete instance whose (t, i) list is the ``picks[t * n + i]``-th
-    shared permutation, built with its tables."""
-    perms, rows = shared_permutations(n), shared_rows(n)
-    lanes = [picks[t * n : (t + 1) * n] for t in range(k)]
-    prefs = tuple(tuple(perms[j] for j in lane) for lane in lanes)
-    return trusted_instance(k, n, prefs, [[rows[j] for j in lane] for lane in lanes], True)
+def _picked_instance(k: int, n: int, lists: list, rows: list, lane: Sequence[int]) -> Instance:
+    """The instance whose (t, i) list is ``lists[lane[t * n + i]]``, built with
+    its tables: ``rows[j]`` is the immutable ``_better`` row of ``lists[j]``.
+    It is complete when its k * n lists, n entries at most each, hold k * n * n."""
+    flat, flat_rows = tuple(map(lists.__getitem__, lane)), list(map(rows.__getitem__, lane))
+    prefs = tuple([flat[t * n : (t + 1) * n] for t in range(k)])
+    better = [flat_rows[t * n : (t + 1) * n] for t in range(k)]
+    return trusted_instance(k, n, prefs, better, sum(map(len, flat)) == k * n * n)
 
 
 def random_matching(inst: Instance, seed: int, keep: float = 0.7) -> Matching:
@@ -263,8 +271,10 @@ def list_options(n: int, complete: bool) -> list[tuple[int, ...]]:
     """All admissible preference lists over [0, n), in canonical order.
 
     Complete: all permutations, lexicographic. Incomplete: every ordered
-    sublist, shortest first and lexicographic within a length.
+    sublist, shortest first and lexicographic within a length. Raises
+    ArgumentError for a ``complete`` that is not a bool.
     """
+    _check_bool("complete", complete)
     full = shared_permutations(n) if n <= PERM_CACHE_MAX_N else list(permutations(range(n)))
     if complete:
         return list(full)
@@ -273,15 +283,18 @@ def list_options(n: int, complete: bool) -> list[tuple[int, ...]]:
 
 def _instance_space(k: int, n: int, complete: bool) -> tuple[int, int]:
     """The number of instances of the given shape as a power: (lists per
-    agent, k * n); DimensionError for k < 2 or n < 0."""
+    agent, k * n); DimensionError for k < 2 or n < 0, ArgumentError for a
+    ``complete`` that is not a bool."""
     check_dims(k, n)
+    _check_bool("complete", complete)
     options = factorial(n) if complete else sum(perm(n, s) for s in range(n + 1))
     return options, k * n
 
 
 def count_instances(k: int, n: int, complete: bool) -> int:
     """Number of instances of the given shape, counted without building a list;
-    DimensionError for k < 2 or n < 0."""
+    DimensionError for k < 2 or n < 0, ArgumentError for a ``complete`` that
+    is not a bool."""
     options, exponent = _instance_space(k, n, complete)
     return options**exponent
 
@@ -289,30 +302,16 @@ def count_instances(k: int, n: int, complete: bool) -> int:
 def enumerate_instances(k: int, n: int, complete: bool) -> Iterator[Instance]:
     """Every instance exactly once, canonical order, agent (0, 0) varying slowest.
 
-    Raises DimensionError, or SpaceTooLargeError past ``MAX_INSTANCES``, at
-    the call, before any instance is built; a space far past the bound is
-    refused from its size, without computing its count. No digest is taken.
+    Raises DimensionError, ArgumentError for a ``complete`` that is not a
+    bool, or SpaceTooLargeError past ``MAX_INSTANCES``, at the call, before
+    any instance is built; a space far past the bound is refused from its
+    size, without computing its count. No digest is taken.
     """
     check_space("instances", _instance_space(k, n, complete), MAX_INSTANCES)
-    return _walk_instances(k, n, complete)
-
-
-def _walk_instances(k: int, n: int, complete: bool) -> Iterator[Instance]:
-    """The walk of :func:`enumerate_instances` over a pool of rows of n
-    lists, each with its better rows and whether it is complete: the rows
-    of types 0..k-2 run over the pool in product order, and under each such
-    prefix so does the last type's row."""
-    options = [(lst, tuple(better_row(lst, n))) for lst in list_options(n, complete)]
-    pool = []
-    for combo in product(options, repeat=n):
-        row = tuple(lst for lst, _ in combo)
-        pool.append((row, tuple(masks for _, masks in combo), all(len(lst) == n for lst in row)))
-    for prefix in product(pool, repeat=k - 1):
-        prefs = tuple(row for row, _, _ in prefix)
-        better = [masks for _, masks, _ in prefix]
-        full = all(row_full for _, _, row_full in prefix)
-        for row, masks, row_full in pool:
-            yield trusted_instance(k, n, (*prefs, row), [*better, masks], full and row_full)
+    options = list_options(n, complete)
+    rows = [tuple(better_row(lst, n)) for lst in options]
+    lanes = product(range(len(options)), repeat=k * n)
+    return map(partial(_picked_instance, k, n, options, rows), lanes)
 
 
 @dataclass(frozen=True)
@@ -535,8 +534,9 @@ def _map_maybe_parallel(
 
 
 def _count_lane(lane: Sequence[int], k: int, n: int) -> int:
-    """The number of weakly stable matchings of ``_picked_instance(k, n, lane)``."""
-    return count_weakly_stable(_picked_instance(k, n, lane))
+    """The number of weakly stable matchings of the complete instance of ``lane``."""
+    inst = _picked_instance(k, n, shared_permutations(n), shared_rows(n), lane)
+    return count_weakly_stable(inst)
 
 
 # one record per instance: (instance or lane, detail, problem or None when
@@ -610,9 +610,9 @@ def _sample_pieces(k: int, n: int) -> tuple[blake2b, tuple[tuple[bytes, ...], ..
 
 
 def _lane_digest(k: int, n: int, lane: Sequence[int]) -> str:
-    """``instance_digest(_picked_instance(k, n, lane))`` from the pieces of
-    ``_sample_pieces``: a copy of the header state updated with each slot's
-    line for its permutation."""
+    """The ``instance_digest`` of the complete instance of ``lane`` from the
+    pieces of ``_sample_pieces``: a copy of the header state updated with
+    each slot's line for its permutation."""
     head, lines_of = _sample_pieces(k, n)
     state = head.copy()
     state.update(b"".join(map(getitem, lines_of, lane)))
@@ -897,8 +897,7 @@ def run_experiment(
         if value is None:
             continue
         if name == "full":
-            if type(value) is not bool:
-                raise ArgumentError(f"full must be a bool, got {value!r}")
+            _check_bool(name, value)
         elif name in ("k", "n"):
             if type(value) is not int:
                 raise DimensionError(f"dimensions must be integers, got {name}={value!r}")

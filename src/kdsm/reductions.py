@@ -49,6 +49,7 @@ from .core import (
     KdsmError,
     Matching,
     TypeMismatchError,
+    check_agent,
     check_dims,
     family_violations,
     matching_rows,
@@ -89,6 +90,7 @@ class CorrMap3K:
         return AgentRef(t, i * self.n + j)
 
     def from_output(self, a: AgentRef) -> tuple[int, int, int]:
+        check_agent("output agent", a, self.k_out, self.n_out)
         i, j = divmod(a.i, self.n)
         return i, j, a.t
 
@@ -149,11 +151,11 @@ class GadgetMap:
     def to_output(self, j: int, alpha: AgentRef, t: int) -> AgentRef:
         if not (0 <= j < self.jsize and 0 <= t < self.k):
             raise ArgumentError(f"coordinates (j={j}, t={t}) out of range")
-        if not (0 <= alpha.t < self.k and 0 <= alpha.i < self.n):
-            raise ArgumentError(f"input agent {tuple(alpha)} out of range")
+        check_agent("input agent", alpha, self.k, self.n)
         return AgentRef(t, j * (self.k * self.n) + alpha.t * self.n + alpha.i)
 
     def from_output(self, a: AgentRef) -> tuple[int, AgentRef]:
+        check_agent("output agent", a, self.k, self.n_out)
         j, rem = divmod(a.i, self.k * self.n)
         ta, ia = divmod(rem, self.n)
         return j, AgentRef(ta, ia)
@@ -177,8 +179,10 @@ class GadgetMap:
         """The input agent's preference list mapped onto non-dummy output agents.
 
         Entry order follows the input list; the result is the prefix that
-        the non-dummy agent's output preference list starts with.
+        the non-dummy agent's output preference list starts with. Raises
+        ArgumentError for an input agent outside the map.
         """
+        check_agent("input agent", alpha, self.k, self.n)
         src = self._require_source()
         nt = (alpha.t + 1) % self.k
         return tuple(
@@ -320,8 +324,11 @@ def complete_instance(
     leaves unordered) default to increasing flat-identifier order. Passing
     a ``seed`` shuffles each tail with a per-agent generator, which only
     reorders choices the construction never relies on. Raises DimensionError
-    for k < 3 and InvalidInstanceError for a bad list entry.
+    for k < 3, InvalidInstanceError for a bad list entry and ArgumentError
+    for a ``seed`` that is neither None nor an int (a bool is not).
     """
+    if seed is not None and type(seed) is not int:
+        raise ArgumentError(f"seed must be None or an integer, got {seed!r}")
     k, n = inst.k, inst.n
     gm = GadgetMap(k, n).with_source(inst)
     kn = k * n

@@ -362,10 +362,9 @@ def _blocked_lanes(k: int, n: int, lanes: Sequence[Sequence[int]]) -> Iterator[i
 def _scan_batch(k: int, n: int, lanes: Sequence[Sequence[int]]) -> int:
     """The mask of the lanes (see ``_blocked_lanes``) that admit no weakly
     stable matching, found by walking the matchings until each lane has one
-    it does not block. Past k = 3 it first checks the perfect-matching
-    bounds, as a capped count does."""
-    if k != 3:
-        _check_perfect_bound(k, n)
+    it does not block. It first checks the perfect-matching bounds, as a
+    capped count does."""
+    _check_perfect_bound(k, n)
     undecided = (1 << len(lanes)) - 1
     for blocked in _blocked_lanes(k, n, lanes):
         undecided &= blocked

@@ -41,10 +41,12 @@ class StabilityVerdict:
     witness: Family | None
 
 
-def is_strongly_blocking(inst: Instance, m: Matching, f: Family) -> bool:
-    """True iff every member of ``f`` prefers its successor to its partner."""
-    partner_rows(inst, Matching.of([f]))  # raises unless f is a valid family
-    rows, fm = partner_rows(inst, m), f.members
+def is_strongly_blocking(inst: Instance, m: Matching, f: Family | Sequence[int]) -> bool:
+    """True iff every member of ``f``, a family as :meth:`Matching.of` takes
+    it, prefers its successor to its partner."""
+    single = Matching.of([f])
+    partner_rows(inst, single)  # raises unless f is a valid family
+    rows, fm = partner_rows(inst, m), single.families[0].members
     return all(
         inst._better[t][i][rows[t][i]] >> fm[(t + 1) % inst.k] & 1
         for t, i in enumerate(fm)

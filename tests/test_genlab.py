@@ -28,7 +28,7 @@ from kdsm import (
     validate_matching,
 )
 from kdsm import genlab
-from kdsm.core import shared_permutations
+from kdsm.core import shared_permutations, shared_rows
 from kdsm.genlab import ExperimentReport, UnknownExperimentError, list_options
 from conftest import (
     oracle_derived_seed,
@@ -171,7 +171,7 @@ class TestEnumerateInstances:
         return count
 
     @pytest.mark.parametrize("k, n, complete", SHAPES)
-    def test_pooled_walk_matches_fresh_builds(self, k, n, complete):
+    def test_lane_builder_matches_fresh_builds(self, k, n, complete):
         count = self.check_against_fresh_builds(
             enumerate_instances(k, n, complete),
             oracle_enumerate_instances(k, n, complete),
@@ -179,7 +179,7 @@ class TestEnumerateInstances:
         assert count == count_instances(k, n, complete)
 
     @pytest.mark.parametrize("start", [0, 46_656 - 500])  # the second crosses every type's step
-    def test_pooled_walk_matches_fresh_builds_on_a_k3n3_slice(self, start):
+    def test_lane_builder_matches_fresh_builds_on_a_k3n3_slice(self, start):
         window = lambda it: islice(it, start, start + 1000)
         count = self.check_against_fresh_builds(
             window(enumerate_instances(3, 3, True)),
@@ -315,7 +315,8 @@ class TestExperiments:
         samples = 40 if n <= 4 else 8
         if n <= 7:
             lanes = list(genlab._sampled_lanes("boros-bound", seed, k, n, samples))
-            got = [genlab._picked_instance(k, n, lane) for lane in lanes]
+            options = shared_permutations(n), shared_rows(n)
+            got = [genlab._picked_instance(k, n, *options, lane) for lane in lanes]
         else:
             got = list(genlab._sampled_complete("boros-bound", seed, k, n, samples))
         assert len(got) == samples

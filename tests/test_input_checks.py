@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import kdsm
 from kdsm import (
     AgentRef,
+    ArgumentError,
     CorrMap3K,
     DimensionError,
     Family,
@@ -30,8 +31,12 @@ from kdsm import (
     InvalidInstanceError,
     Matching,
     SpaceTooLargeError,
+    TypeMismatchError,
+    complete_instance,
     count_instances,
     enumerate_instances,
+    lift_3_to_k,
+    prefers,
     random_instance,
     validate_instance,
 )
@@ -217,3 +222,58 @@ def test_a_space_error_survives_pickling(n):
     back = pickle.loads(pickle.dumps(exc.value))
     assert type(back) is SpaceTooLargeError and str(back) == str(exc.value)
     assert (back.bound, back._required) == (exc.value.bound, exc.value._required)
+
+
+def _agent_calls():
+    """Per function taking an agent: the call on one agent, the k and n of
+    the agents it accepts, a type it accepts, and whether a type outside
+    [0, k) is a type mismatch there rather than an agent out of range."""
+    inst = random_instance(1, 3, 2, 1.0)
+    part = random_instance(1, 3, 2, 0.7)
+    gm = complete_instance(part)[1]
+    cm = lift_3_to_k(part, 4)[1]
+    a, b = AgentRef(0, 0), AgentRef(1, 0)
+    return {
+        "rank_of": (lambda x: inst.rank_of(x, 0), 3, 2, 0, False),
+        "prefers-a": (lambda x: prefers(inst, x, b, x), 3, 2, 0, False),
+        "prefers-b": (lambda x: prefers(inst, a, x, a), 3, 2, 1, True),
+        "prefers-c": (lambda x: prefers(inst, a, b, x), 3, 2, 1, True),
+        "GadgetMap.from_output": (gm.from_output, 3, gm.n_out, 0, False),
+        "GadgetMap.mapped_prefix": (gm.mapped_prefix, 3, 2, 0, False),
+        "CorrMap3K.from_output": (cm.from_output, 4, cm.n_out, 0, False),
+    }
+
+
+AGENT_CALLS = _agent_calls()
+
+
+@pytest.mark.parametrize("where", ["t<0", "t>=k", "i<0", "i>=n", "i>>n"])
+@pytest.mark.parametrize("name", list(AGENT_CALLS))
+def test_an_agent_outside_the_instance_is_refused(name, where):
+    call, k, n, t, typed = AGENT_CALLS[name]
+    coords = {"t<0": (-1, 0), "t>=k": (k, 0), "i<0": (t, -1), "i>=n": (t, n), "i>>n": (t, 50 * n)}
+    agent = AgentRef(*coords[where])
+    error = TypeMismatchError if typed and where.startswith("t") else ArgumentError
+    with pytest.raises(error, match=re.escape(str(tuple(agent)))):
+        call(agent)
+    call(AgentRef(t, n - 1))  # the last agent of the type answers
+
+
+@pytest.mark.parametrize("complete", ["no", 1, 0, 1.0, None])
+def test_complete_must_be_a_bool(complete):
+    calls = [
+        lambda: count_instances(3, 2, complete),
+        lambda: genlab.list_options(2, complete),
+        lambda: enumerate_instances(3, 1, complete),
+    ]
+    for call in calls:
+        with pytest.raises(ArgumentError, match="complete must be a bool"):
+            call()
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.0, "1"])
+def test_a_completion_seed_is_none_or_an_int(seed):
+    inst = random_instance(1, 3, 2, 0.7)
+    with pytest.raises(ArgumentError, match="seed must be None or an integer"):
+        complete_instance(inst, seed)
+    assert complete_instance(inst, 1)[0] != complete_instance(inst, None)[0]

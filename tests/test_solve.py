@@ -238,6 +238,13 @@ class TestScanBatch:
         with pytest.raises(SpaceTooLargeError):
             solve._scan_batch(4, 6, [[0] * 24])
 
+    def test_the_perfect_bound_is_checked_at_k3_too(self, monkeypatch):
+        # every k = 3 batch passes the real bound, so a lowered one shows the
+        # check runs: (3!)^2 = 36 perfect matchings
+        monkeypatch.setattr(solve, "MAX_PERFECT_MATCHINGS", 35)
+        with pytest.raises(SpaceTooLargeError, match="36 perfect matchings"):
+            solve._scan_batch(3, 3, [[0] * 9])
+
 
 class TestCount:
     def test_unique_n1(self, tiny_complete):

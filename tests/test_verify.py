@@ -43,6 +43,15 @@ class TestIsStronglyBlocking:
             rank0_first_instance, [(0, 0, 0), (1, 1, 1)]
         )
 
+    @pytest.mark.parametrize("members", [(0, 0, 0), [0, 0, 0]])
+    def test_a_family_is_taken_as_matching_of_takes_it(self, tiny_complete, members):
+        # the same sequence Matching.of and family_violations accept
+        for m in (Matching.of([]), Matching.of([(0, 0, 0)])):
+            want = is_strongly_blocking(tiny_complete, m, Family((0, 0, 0)))
+            assert is_strongly_blocking(tiny_complete, m, members) == want
+        with pytest.raises(InvalidFamilyError):
+            is_strongly_blocking(tiny_complete, Matching.of([]), (0, 5, 0))
+
     def test_invalid_family_raises(self, tiny_complete):
         with pytest.raises(InvalidFamilyError):
             is_strongly_blocking(tiny_complete, Matching.of([]), Family((0, 5, 0)))
